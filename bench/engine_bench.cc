@@ -12,11 +12,8 @@
 //  * --topology=cxl-pod-1024 ("sim_scale_cxl1024"): the data-center scale scenario —
 //    a 4-level hierarchy on the 1024-CPU CXL-pod preset, thread counts up to the
 //    full machine, mixing local-handover compositions with global-spinning ones so
-//    the engine sees 1000-waiter wakeup herds and deep sharing-level lookups.
-//
-// --scheduler=heap|wheel selects the ready-queue implementation (docs/SIM_ENGINE.md;
-// results are byte-identical, only wall-clock differs), so the two variants can be
-// benchmarked head-to-head on either scenario.
+//    the engine sees a 1024-entry ready queue, herd wakeups and deep sharing-level
+//    lookups.
 //
 // Run through scripts/bench_wallclock.sh (release preset) to append labelled
 // records to BENCH_wallclock.json; raw output is one JSON object on stdout.
@@ -43,14 +40,13 @@ struct SweepTotals {
 
 // One fixed sub-sweep: every listed lock at every thread count, one run each.
 SweepTotals RunVariant(const sim::Machine& machine, const std::vector<std::string>& levels,
-                       bool ctr_registry, double duration_ms, sim::SchedulerKind scheduler,
+                       bool ctr_registry, double duration_ms,
                        const std::vector<std::string>& locks, const std::vector<int>& threads) {
   SweepTotals totals;
   harness::BenchConfig config;
   config.spec.machine = &machine;
   config.spec.hierarchy = topo::Hierarchy::Select(machine.topology, levels);
   config.spec.registry = &SimRegistry(ctr_registry);
-  config.spec.scheduler = scheduler;
   config.duration_ms = duration_ms;
   for (const std::string& lock : locks) {
     config.lock_name = lock;
@@ -67,48 +63,45 @@ SweepTotals RunVariant(const sim::Machine& machine, const std::vector<std::strin
 // The historical sim_hot_path workload: fig9c/d highlighted compositions plus uniform
 // stacks — a mix of handover-local winners and global-spinning losers, so the engine
 // sees both short critical-path handovers and refetch-storm park/wake churn.
-SweepTotals RunHotPath(const sim::Machine& x86, const sim::Machine& arm, double duration_ms,
-                       sim::SchedulerKind scheduler) {
+SweepTotals RunHotPath(const sim::Machine& x86, const sim::Machine& arm, double duration_ms) {
   const std::vector<std::string> locks = {"hem-mcs-tkt", "tkt-mcs-mcs", "clh-tkt-tkt",
                                           "mcs-mcs-mcs", "tkt-clh-tkt", "mcs-tkt-hem"};
   const std::vector<int> threads = {1, 8, 24, 48};
-  SweepTotals a = RunVariant(x86, {"cache", "numa", "system"}, true, duration_ms, scheduler,
-                             locks, threads);
-  SweepTotals b = RunVariant(arm, {"cache", "numa", "system"}, false, duration_ms, scheduler,
-                             locks, threads);
+  SweepTotals a = RunVariant(x86, {"cache", "numa", "system"}, true, duration_ms, locks,
+                             threads);
+  SweepTotals b = RunVariant(arm, {"cache", "numa", "system"}, false, duration_ms, locks,
+                             threads);
   return {a.sim_ops + b.sim_ops, a.lock_acquires + b.lock_acquires};
 }
 
 // The scale workload: a 4-level hierarchy over all 1024 CPUs of the CXL-pod preset.
 // Compositions chosen as in the hot path — keep-local winners (mcs/clh stacks) next
-// to a uniform ticket stack whose top level globally spins, which at 1024 threads
-// produces the ~thousand-waiter wakeup herds the batched heap build targets.
-SweepTotals RunScale(const sim::Machine& machine, double duration_ms,
-                     sim::SchedulerKind scheduler) {
+// to a uniform ticket stack whose waiters spin globally within each cohort, so its
+// wakeups arrive as herds for the batched heap build (8–15 waiters each, measured).
+SweepTotals RunScale(const sim::Machine& machine, double duration_ms) {
   const std::vector<std::string> locks = {"mcs-mcs-mcs-mcs", "tkt-mcs-mcs-mcs",
                                           "clh-clh-mcs-tkt", "tkt-tkt-tkt-tkt"};
   const std::vector<int> threads = {64, 256, 1024};
-  return RunVariant(machine, {"cache", "numa", "pod", "system"}, true, duration_ms,
-                    scheduler, locks, threads);
+  return RunVariant(machine, {"cache", "numa", "pod", "system"}, true, duration_ms, locks,
+                    threads);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::Flags flags(argc, argv);
-  const auto unknown = flags.UnknownKeys({"duration_ms", "repeat", "topology", "scheduler"});
+  const auto unknown = flags.UnknownKeys({"duration_ms", "repeat", "topology"});
   if (!unknown.empty()) {
     std::fprintf(stderr, "unknown flag(s):");
     for (const auto& key : unknown) {
       std::fprintf(stderr, " --%s", key.c_str());
     }
     std::fprintf(stderr, "\nusage: engine_bench [--topology=cxl-pod-1024] "
-                         "[--scheduler=heap|wheel] [--duration_ms=N] [--repeat=N]\n");
+                         "[--duration_ms=N] [--repeat=N]\n");
     return 2;
   }
   const int repeat = flags.GetInt("repeat", 3);
   const std::string topology = flags.GetString("topology", "");
-  const std::string scheduler_name = flags.GetString("scheduler", "heap");
   const bool scale = topology == "cxl-pod-1024";
   if (!topology.empty() && !scale) {
     std::fprintf(stderr, "unknown --topology=%s (supported: cxl-pod-1024)\n",
@@ -119,16 +112,6 @@ int main(int argc, char** argv) {
   // 1024 CPUs) amortizes against steady-state simulation: below ~4 virtual ms the
   // number measures startup, not the hot path.
   const double duration_ms = flags.GetDouble("duration_ms", scale ? 6.0 : 8.0);
-  sim::SchedulerKind scheduler;
-  if (scheduler_name == "heap") {
-    scheduler = sim::SchedulerKind::kIndexedHeap;
-  } else if (scheduler_name == "wheel") {
-    scheduler = sim::SchedulerKind::kTimingWheel;
-  } else {
-    std::fprintf(stderr, "unknown --scheduler=%s (supported: heap, wheel)\n",
-                 scheduler_name.c_str());
-    return 2;
-  }
 
   auto x86 = sim::Machine::PaperX86();
   auto arm = sim::Machine::PaperArm();
@@ -141,8 +124,7 @@ int main(int argc, char** argv) {
   // identical every pass (determinism invariant), so variance is pure host noise.
   for (int r = 0; r < repeat; ++r) {
     auto begin = std::chrono::steady_clock::now();
-    SweepTotals totals = scale ? RunScale(cxl, duration_ms, scheduler)
-                               : RunHotPath(x86, arm, duration_ms, scheduler);
+    SweepTotals totals = scale ? RunScale(cxl, duration_ms) : RunHotPath(x86, arm, duration_ms);
     auto end = std::chrono::steady_clock::now();
     double wall_s = std::chrono::duration<double>(end - begin).count();
     sim_ops = totals.sim_ops;
@@ -153,11 +135,11 @@ int main(int argc, char** argv) {
   }
 
   double ops_per_sec = static_cast<double>(sim_ops) / best_wall_s;
-  std::printf("{\"bench\":\"%s\",\"scheduler\":\"%s\",\"duration_ms\":%.3f,\"repeat\":%d,"
+  std::printf("{\"bench\":\"%s\",\"duration_ms\":%.3f,\"repeat\":%d,"
               "\"sim_ops\":%llu,\"lock_acquires\":%llu,\"best_wall_s\":%.4f,"
               "\"sim_ops_per_sec\":%.0f}\n",
-              scale ? "sim_scale_cxl1024" : "sim_hot_path", scheduler_name.c_str(),
-              duration_ms, repeat, static_cast<unsigned long long>(sim_ops),
+              scale ? "sim_scale_cxl1024" : "sim_hot_path", duration_ms, repeat,
+              static_cast<unsigned long long>(sim_ops),
               static_cast<unsigned long long>(lock_acquires), best_wall_s, ops_per_sec);
   return 0;
 }

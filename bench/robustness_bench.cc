@@ -20,14 +20,14 @@ using namespace clof;
 void RunVariant(const sim::Machine& machine, const std::vector<std::string>& levels,
                 double duration_ms, int jobs, int candidates) {
   auto hierarchy = topo::Hierarchy::Select(machine.topology, levels);
-  select::RobustnessConfig config;
+  select::PerturbationConfig config;
   config.sweep.spec.machine = &machine;
   config.sweep.spec.hierarchy = hierarchy;
   config.sweep.spec.registry = &SimRegistry(machine.platform.arch == sim::Arch::kX86);
   config.sweep.duration_ms = duration_ms;
   config.sweep.jobs = jobs;
   config.candidates = candidates;
-  auto result = select::RunRobustnessBenchmark(config);
+  auto result = select::RunPerturbationRanking(config);
 
   std::printf("\n== %s, %d-level robustness matrix at %d threads ==\n",
               machine.platform.name.c_str(), hierarchy.depth(), result.probe_threads);
@@ -46,7 +46,7 @@ void RunVariant(const sim::Machine& machine, const std::vector<std::string>& lev
     for (const auto& outcome : lock.outcomes) {
       std::printf("%13.1f%%", 100.0 * outcome.retention);
     }
-    std::printf("%10.3f\n", lock.robust_score);
+    std::printf("%10.3f\n", lock.score);
   }
 
   // Tail-latency matrix: the same cells, p99 acquire latency in ns.
@@ -63,8 +63,8 @@ void RunVariant(const sim::Machine& machine, const std::vector<std::string>& lev
     std::printf("\n");
   }
 
-  std::printf("\nrobust winner: %-18s (score %.3f)%s\n", result.robust_best.c_str(),
-              result.robust_best_score,
+  std::printf("\nrobust winner: %-18s (score %.3f)%s\n", result.best.c_str(),
+              result.best_score,
               result.winner_changed ? "  [differs from ideal HC-best]" : "");
 }
 

@@ -4,13 +4,11 @@
 #
 # Builds bench/engine_bench with the `release` preset (-O2 -DNDEBUG; see
 # CMakePresets.json) so the number reflects the shipped hot path, runs the pinned
-# fig9-style sub-sweep, and records {date, label, commit, ...measurement}. Numbers in
-# the trajectory are only comparable when produced by this script on the same class of
-# host.
-#
-# Each invocation records one row per ready-queue variant (heap and wheel) so the
-# trajectory tracks the scheduler trade-off alongside raw throughput; pass an explicit
-# --scheduler=heap|wheel to record just that variant.
+# fig9-style sub-sweep (or, with --topology=cxl-pod-1024, the 1024-CPU scale scenario),
+# and records one row: {date, commit, label, ...measurement}. Numbers in the trajectory
+# are only comparable when produced by this script on the same class of host. Rows
+# from before the timing-wheel ready queue was deleted carry a "scheduler" field; the
+# heap rows among them continue the same series.
 #
 # Usage: scripts/bench_wallclock.sh [label] [extra engine_bench flags...]
 set -euo pipefail
@@ -22,28 +20,14 @@ shift || true
 cmake --preset release >/dev/null
 cmake --build --preset release -j "$(nproc)" --target engine_bench >/dev/null
 
-# Record both ready-queue variants so BENCH_wallclock.json tracks the heap/wheel
-# trade-off over time. An explicit --scheduler= flag narrows the run to that variant.
-schedulers=(heap wheel)
-passthrough=()
-for arg in "$@"; do
-  case "${arg}" in
-    --scheduler=*) schedulers=("${arg#--scheduler=}") ;;
-    *) passthrough+=("${arg}") ;;
-  esac
-done
-set -- ${passthrough[@]+"${passthrough[@]}"}
-
 commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
-for scheduler in "${schedulers[@]}"; do
-  raw="$(./build-release/bench/engine_bench --scheduler="${scheduler}" "$@")"
-  date="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
+raw="$(./build-release/bench/engine_bench "$@")"
+date="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 
-  # Merge the run metadata into the bench's own JSON object.
-  line="{\"date\":\"${date}\",\"commit\":\"${commit}\",\"label\":\"${label}\",${raw#\{}"
-  echo "${line}" >> BENCH_wallclock.json
+# Merge the run metadata into the bench's own JSON object.
+line="{\"date\":\"${date}\",\"commit\":\"${commit}\",\"label\":\"${label}\",${raw#\{}"
+echo "${line}" >> BENCH_wallclock.json
 
-  echo "${raw}"
-  ops="$(echo "${raw}" | sed -n 's/.*"sim_ops_per_sec":\([0-9.]*\).*/\1/p')"
-  echo "bench_wallclock: ${ops} simulated ops/sec (scheduler=${scheduler}, label='${label}', appended to BENCH_wallclock.json)"
-done
+echo "${raw}"
+ops="$(echo "${raw}" | sed -n 's/.*"sim_ops_per_sec":\([0-9.]*\).*/\1/p')"
+echo "bench_wallclock: ${ops} simulated ops/sec (label='${label}', appended to BENCH_wallclock.json)"

@@ -7,10 +7,10 @@
 #
 # Usage: scripts/check_all.sh [--perf]
 #   --perf  also run the wall-clock perf stage (scripts/bench_wallclock.sh, release
-#           preset): times the engine microbench on both the fig9-style hot path and
-#           the 1024-CPU scale scenario, each under both ready-queue variants, appends
-#           all rows to BENCH_wallclock.json, and fails if any (bench, scheduler)
-#           series regressed below 0.9x its previous check_all record.
+#           preset): times the engine microbench on the fig9-style hot path and on the
+#           1024-CPU scale scenario, appends one row each to BENCH_wallclock.json, and
+#           fails if either bench's series regressed below 0.9x its previous
+#           check_all record.
 #
 # A torture smoke stage (clof_torture, short duration) runs after tier-1: the eleven
 # mutant locks must be flagged and the genuine control set — including the combining
@@ -90,21 +90,17 @@ timeout_smoke() {
 }
 
 perf_stage() {
-  # Both scenarios, both scheduler variants (bench_wallclock.sh loops over heap and
-  # wheel itself): the historical fig9-style hot path and the 1024-CPU scale scenario.
+  # Both scenarios: the historical fig9-style hot path and the 1024-CPU scale scenario.
   scripts/bench_wallclock.sh "check_all" || return $?
   scripts/bench_wallclock.sh "check_all" --topology=cxl-pod-1024 || return $?
-  # Regression gate: within every (bench, scheduler) series of check_all records, the
-  # row just appended must be >= 0.9x the previous one (records are one JSON object
-  # per line, newest last; only same-series numbers are comparable).
+  # Regression gate: within every "bench" series of check_all records, the row just
+  # appended must be >= 0.9x the previous one (records are one JSON object per line,
+  # newest last; only same-series numbers are comparable).
   awk -F'"sim_ops_per_sec":' '
     /"label":"check_all"/ {
       series = ""
       if (match($0, /"bench":"[^"]*"/)) {
         series = substr($0, RSTART, RLENGTH)
-      }
-      if (match($0, /"scheduler":"[^"]*"/)) {
-        series = series " " substr($0, RSTART, RLENGTH)
       }
       prev[series] = last[series]
       split($2, f, /[,}]/)

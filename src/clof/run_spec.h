@@ -80,11 +80,6 @@ struct RunSpec {
   // Deterministic perturbations applied to the run (docs/FAULT_INJECTION.md). The
   // default plan has every injector disabled and takes the exact non-fault code path.
   fault::FaultPlan fault;
-  // Ready-queue implementation of the simulator engine. Both variants produce
-  // byte-identical results (tests/scheduler_identity_test.cc), so — like
-  // BenchConfig::force_closure_api — this is deliberately NOT part of the sweep cache
-  // fingerprint: cells computed under either scheduler hit the same cache entries.
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kIndexedHeap;
 
   // The registry this spec runs against: `registry` if set, else the simulated
   // registry matching the machine's architecture. `machine` must be non-null.

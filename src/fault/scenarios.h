@@ -1,5 +1,5 @@
 // Named perturbation scenarios: the matrix the robustness sweep runs every candidate
-// lock through (select::RunRobustnessBenchmark), and the parser behind clof_bench's
+// lock through (select::RunPerturbationRanking), and the parser behind clof_bench's
 // --fault= flag. Each scenario is one FaultPlan; DefaultMatrix covers each injector
 // alone at its default severity plus a combined "storm".
 #ifndef CLOF_SRC_FAULT_SCENARIOS_H_

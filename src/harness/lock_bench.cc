@@ -31,7 +31,6 @@ BenchResult RunLockBench(const BenchConfig& config) {
   }
 
   sim::Engine engine(machine.topology, machine.platform);
-  engine.SetScheduler(config.spec.scheduler);
   engine.SetEventSink(config.trace_sink);
   if (config.watchdog.Enabled()) {
     engine.SetWatchdog(config.watchdog);

@@ -76,7 +76,6 @@ ServiceBenchResult RunServiceBench(const ServiceBenchConfig& config) {
                                             static_cast<double>(config.num_threads));
 
   sim::Engine engine(machine.topology, machine.platform);
-  engine.SetScheduler(config.spec.scheduler);
   if (config.watchdog.Enabled()) {
     engine.SetWatchdog(config.watchdog);
   }

@@ -152,6 +152,7 @@ SweepResult RunScriptedBenchmark(const SweepConfig& config) {
     curve.local_handover_rate.resize(num_threads);
     curve.transfers_per_op.resize(num_threads);
     curve.acquire_p99_ns.resize(num_threads);
+    curve.acquire_p999_ns.resize(num_threads);
   }
 
   // In-order lock-completion callbacks (the on_lock_done contract in the header):
@@ -195,6 +196,7 @@ SweepResult RunScriptedBenchmark(const SweepConfig& config) {
       curve.local_handover_rate[ti] = cell.local_handover_rate;
       curve.transfers_per_op[ti] = cell.transfers_per_op;
       curve.acquire_p99_ns[ti] = cell.acquire_p99_ns;
+      curve.acquire_p999_ns[ti] = cell.acquire_p999_ns;
     } else {
       // The curve keeps its zeroed slots: partial data stays inspectable, and the
       // lock is quarantined out of selection below.
@@ -227,29 +229,40 @@ SweepResult RunScriptedBenchmark(const SweepConfig& config) {
   return result;
 }
 
-RobustnessResult RunRobustnessBenchmark(const RobustnessConfig& config) {
+const char* ObjectiveName(Objective objective) {
+  return objective == Objective::kWorstP999 ? "latency" : "robustness";
+}
+
+PerturbationResult RunPerturbationRanking(const PerturbationConfig& config) {
   if (config.sweep.spec.fault.AnyEnabled()) {
     throw std::invalid_argument(
-        "RobustnessConfig.sweep.spec.fault must be all-disabled: the sweep is the "
+        "PerturbationConfig.sweep.spec.fault must be all-disabled: the sweep is the "
         "unperturbed baseline the matrix is compared against");
   }
-  RobustnessResult result;
+  const uint64_t seed = config.sweep.spec.seed;
+  const bool tail = config.objective == Objective::kWorstP999;
+  PerturbationResult result;
   result.sweep = RunScriptedBenchmark(config.sweep);
-  result.scenarios = config.scenarios.empty()
-                         ? fault::DefaultMatrix(config.sweep.spec.seed)
-                         : config.scenarios;
+  if (!config.scenarios.empty()) {
+    result.scenarios = config.scenarios;
+  } else if (tail) {
+    result.scenarios.push_back({"churn", fault::PlanFromSpec("churn", seed)});
+  } else {
+    result.scenarios = fault::DefaultMatrix(seed);
+  }
   result.probe_threads = config.probe_threads > 0 ? config.probe_threads
                                                   : result.sweep.thread_counts.back();
 
   // Candidate set: the top HC-ranked locks plus the LC-best — the locks the ideal
-  // sweep would actually recommend — each carrying its HC score as ranking weight.
-  // Locks the baseline sweep quarantined are excluded up front: a lock that cannot
-  // even finish the unperturbed sweep has no baseline to retain against.
+  // sweep would actually recommend — each carrying its HC score. Locks the baseline
+  // sweep quarantined are excluded up front: a lock that cannot even finish the
+  // unperturbed sweep has no baseline to compare against.
   std::vector<LockCurve> rankable = result.sweep.EligibleCurves();
   if (rankable.empty()) {
     // Nothing survived the baseline. Say so instead of silently returning an empty
     // ranking that downstream reports would render as a zero-candidate matrix.
-    result.note = "no robustness ranking: the baseline sweep quarantined all " +
+    result.note = std::string("no ") + ObjectiveName(config.objective) +
+                  " ranking: the baseline sweep quarantined all " +
                   std::to_string(result.sweep.curves.size()) +
                   " lock(s); see the quarantine report";
     return result;
@@ -258,8 +271,8 @@ RobustnessResult RunRobustnessBenchmark(const RobustnessConfig& config) {
   const size_t requested = static_cast<size_t>(std::max(config.candidates, 1));
   const size_t top_n = std::min(requested, ranked.size());
   if (requested > ranked.size()) {
-    // --robustness=K with K beyond the surviving locks: clamp loudly, never silently
-    // re-rank a shorter set than the caller asked to audit.
+    // --robustness=K / --latency=K with K beyond the surviving locks: clamp loudly,
+    // never silently re-rank a shorter set than the caller asked to audit.
     result.note = "requested top-" + std::to_string(requested) + " candidates but only " +
                   std::to_string(ranked.size()) +
                   " lock(s) survived the baseline sweep; ranking all of them";
@@ -296,14 +309,16 @@ RobustnessResult RunRobustnessBenchmark(const RobustnessConfig& config) {
   const size_t num_scenarios = result.scenarios.size();
   result.locks.resize(num_candidates);
   for (size_t ci = 0; ci < num_candidates; ++ci) {
-    LockRobustness& lock = result.locks[ci];
+    PerturbedLock& lock = result.locks[ci];
     lock.name = candidates[ci].first;
     lock.hc_score = candidates[ci].second;
     lock.outcomes.resize(num_scenarios);
     if (!need_baseline) {
       const LockCurve* curve = result.sweep.Curve(lock.name);
-      lock.baseline_throughput = curve->throughput[static_cast<size_t>(probe_index)];
-      lock.baseline_p99_ns = curve->acquire_p99_ns[static_cast<size_t>(probe_index)];
+      const auto at = static_cast<size_t>(probe_index);
+      lock.baseline_throughput = curve->throughput[at];
+      lock.baseline_p99_ns = curve->acquire_p99_ns[at];
+      lock.baseline_p999_ns = curve->acquire_p999_ns[at];
     }
   }
 
@@ -315,7 +330,7 @@ RobustnessResult RunRobustnessBenchmark(const RobustnessConfig& config) {
   executor.ParallelFor(num_candidates * cells_per_candidate, [&](size_t task) {
     const size_t ci = task / cells_per_candidate;
     const size_t si = task % cells_per_candidate;
-    LockRobustness& lock = result.locks[ci];
+    PerturbedLock& lock = result.locks[ci];
     RunSpec cell_spec = spec;
     if (si == num_scenarios) {  // the extra unfaulted baseline cell
       exec::CellOutcome cell = EvaluateCell(config.sweep, cell_spec, lock.name,
@@ -323,137 +338,6 @@ RobustnessResult RunRobustnessBenchmark(const RobustnessConfig& config) {
       if (cell.ok) {  // a failed baseline leaves 0.0: every retention reads as 0
         lock.baseline_throughput = cell.result.throughput_per_us;
         lock.baseline_p99_ns = cell.result.acquire_p99_ns;
-      }
-      return;
-    }
-    cell_spec.fault = result.scenarios[si].plan;
-    exec::CellOutcome cell = EvaluateCell(config.sweep, cell_spec, lock.name,
-                                          result.probe_threads, local_level);
-    ScenarioOutcome& outcome = lock.outcomes[si];
-    outcome.scenario = result.scenarios[si].name;
-    if (!cell.ok) {
-      // The perturbation wedged the lock outright: retention stays 0 and the verdict
-      // names the failure mode instead of a throughput.
-      outcome.failed = true;
-      outcome.failure_kind = cell.failure.kind;
-      return;
-    }
-    outcome.throughput_per_us = cell.result.throughput_per_us;
-    outcome.acquire_p99_ns = cell.result.acquire_p99_ns;
-    outcome.starved_threads = static_cast<int>(cell.result.starved_threads);
-  });
-
-  // Retention and ranking are pure post-processing over the barrier'd cells.
-  for (LockRobustness& lock : result.locks) {
-    for (ScenarioOutcome& outcome : lock.outcomes) {
-      outcome.retention = lock.baseline_throughput > 0.0
-                              ? outcome.throughput_per_us / lock.baseline_throughput
-                              : 0.0;
-      lock.worst_retention = std::min(lock.worst_retention, outcome.retention);
-    }
-    lock.robust_score = lock.hc_score * lock.worst_retention;
-  }
-  std::sort(result.locks.begin(), result.locks.end(),
-            [](const LockRobustness& a, const LockRobustness& b) {
-              return a.robust_score != b.robust_score ? a.robust_score > b.robust_score
-                                                      : a.name < b.name;
-            });
-  result.robust_best = result.locks.front().name;
-  result.robust_best_score = result.locks.front().robust_score;
-  result.winner_changed = result.robust_best != result.sweep.selection.hc_best;
-  return result;
-}
-
-LatencySelectionResult RunLatencySelection(const LatencySelectionConfig& config) {
-  if (config.sweep.spec.fault.AnyEnabled()) {
-    throw std::invalid_argument(
-        "LatencySelectionConfig.sweep.spec.fault must be all-disabled: the sweep is "
-        "the unperturbed baseline the matrix is compared against");
-  }
-  LatencySelectionResult result;
-  result.sweep = RunScriptedBenchmark(config.sweep);
-  if (config.scenarios.empty()) {
-    result.scenarios.push_back(
-        {"churn", fault::PlanFromSpec("churn", config.sweep.spec.seed)});
-  } else {
-    result.scenarios = config.scenarios;
-  }
-  result.probe_threads = config.probe_threads > 0 ? config.probe_threads
-                                                  : result.sweep.thread_counts.back();
-
-  // Candidate set: same rule as the robustness mode — the top HC-ranked survivors
-  // plus the LC-best, the locks the ideal sweep would actually recommend.
-  std::vector<LockCurve> rankable = result.sweep.EligibleCurves();
-  if (rankable.empty()) {
-    result.note = "no latency ranking: the baseline sweep quarantined all " +
-                  std::to_string(result.sweep.curves.size()) +
-                  " lock(s); see the quarantine report";
-    return result;
-  }
-  auto ranked = Rank(rankable, result.sweep.thread_counts, Policy::kHighContention);
-  const size_t requested = static_cast<size_t>(std::max(config.candidates, 1));
-  const size_t top_n = std::min(requested, ranked.size());
-  if (requested > ranked.size()) {
-    result.note = "requested top-" + std::to_string(requested) + " candidates but only " +
-                  std::to_string(ranked.size()) +
-                  " lock(s) survived the baseline sweep; ranking all of them";
-  }
-  std::vector<std::pair<std::string, double>> candidates(ranked.begin(),
-                                                         ranked.begin() + top_n);
-  const std::string& lc_best = result.sweep.selection.lc_best;
-  if (std::none_of(candidates.begin(), candidates.end(),
-                   [&](const auto& c) { return c.first == lc_best; })) {
-    for (const auto& entry : ranked) {
-      if (entry.first == lc_best) {
-        candidates.push_back(entry);
-        break;
-      }
-    }
-  }
-
-  int probe_index = -1;
-  for (size_t i = 0; i < result.sweep.thread_counts.size(); ++i) {
-    if (result.sweep.thread_counts[i] == result.probe_threads) {
-      probe_index = static_cast<int>(i);
-      break;
-    }
-  }
-  const bool need_baseline = probe_index < 0;
-
-  RunSpec spec = config.sweep.spec;
-  spec.registry = &config.sweep.spec.ResolveRegistry();
-  const int local_level = spec.hierarchy.valid() ? spec.hierarchy.TopologyLevel(0) : 0;
-
-  const size_t num_candidates = candidates.size();
-  const size_t num_scenarios = result.scenarios.size();
-  result.locks.resize(num_candidates);
-  for (size_t ci = 0; ci < num_candidates; ++ci) {
-    LockLatency& lock = result.locks[ci];
-    lock.name = candidates[ci].first;
-    lock.hc_score = candidates[ci].second;
-    lock.outcomes.resize(num_scenarios);
-    if (!need_baseline) {
-      const LockCurve* curve = result.sweep.Curve(lock.name);
-      lock.baseline_throughput = curve->throughput[static_cast<size_t>(probe_index)];
-      // The sweep curve carries p99, not p999; the baseline p999 comes from a probe
-      // cell below only when the probe point is off-sweep. On-sweep probes reuse the
-      // p99 as the reported baseline context (ranking never uses the baseline).
-      lock.baseline_p999_ns = curve->acquire_p99_ns[static_cast<size_t>(probe_index)];
-    }
-  }
-
-  const size_t cells_per_candidate = num_scenarios + (need_baseline ? 1 : 0);
-  exec::Executor executor(config.sweep.jobs);
-  executor.ParallelFor(num_candidates * cells_per_candidate, [&](size_t task) {
-    const size_t ci = task / cells_per_candidate;
-    const size_t si = task % cells_per_candidate;
-    LockLatency& lock = result.locks[ci];
-    RunSpec cell_spec = spec;
-    if (si == num_scenarios) {  // the extra unfaulted baseline cell
-      exec::CellOutcome cell = EvaluateCell(config.sweep, cell_spec, lock.name,
-                                            result.probe_threads, local_level);
-      if (cell.ok) {
-        lock.baseline_throughput = cell.result.throughput_per_us;
         lock.baseline_p999_ns = cell.result.acquire_p999_ns;
       }
       return;
@@ -461,34 +345,44 @@ LatencySelectionResult RunLatencySelection(const LatencySelectionConfig& config)
     cell_spec.fault = result.scenarios[si].plan;
     exec::CellOutcome cell = EvaluateCell(config.sweep, cell_spec, lock.name,
                                           result.probe_threads, local_level);
-    LatencyOutcome& outcome = lock.outcomes[si];
+    PerturbedCell& outcome = lock.outcomes[si];
     outcome.scenario = result.scenarios[si].name;
     if (!cell.ok) {
+      // The perturbation wedged the lock outright: the verdict names the failure mode
+      // instead of a throughput or a tail.
       outcome.failed = true;
       outcome.failure_kind = cell.failure.kind;
       return;
     }
-    outcome.acquire_p999_ns = cell.result.acquire_p999_ns;
     outcome.throughput_per_us = cell.result.throughput_per_us;
+    outcome.acquire_p99_ns = cell.result.acquire_p99_ns;
+    outcome.acquire_p999_ns = cell.result.acquire_p999_ns;
+    outcome.starved_threads = static_cast<int>(cell.result.starved_threads);
   });
 
-  // Ranking key: the worst tail over the matrix; a wedged cell is an unbounded tail.
-  for (LockLatency& lock : result.locks) {
-    for (const LatencyOutcome& outcome : lock.outcomes) {
+  // Worst cases and ranking are pure post-processing over the barrier'd cells.
+  for (PerturbedLock& lock : result.locks) {
+    for (PerturbedCell& outcome : lock.outcomes) {
+      outcome.retention = lock.baseline_throughput > 0.0
+                              ? outcome.throughput_per_us / lock.baseline_throughput
+                              : 0.0;
+      lock.worst_retention = std::min(lock.worst_retention, outcome.retention);
       const double p999 = outcome.failed ? std::numeric_limits<double>::infinity()
                                          : outcome.acquire_p999_ns;
       lock.worst_p999_ns = std::max(lock.worst_p999_ns, p999);
     }
+    lock.score = tail ? lock.worst_p999_ns : lock.hc_score * lock.worst_retention;
   }
   std::sort(result.locks.begin(), result.locks.end(),
-            [](const LockLatency& a, const LockLatency& b) {
-              return a.worst_p999_ns != b.worst_p999_ns
-                         ? a.worst_p999_ns < b.worst_p999_ns
-                         : a.name < b.name;
+            [tail](const PerturbedLock& a, const PerturbedLock& b) {
+              if (a.score != b.score) {
+                return tail ? a.score < b.score : a.score > b.score;
+              }
+              return a.name < b.name;
             });
-  result.latency_best = result.locks.front().name;
-  result.latency_best_p999_ns = result.locks.front().worst_p999_ns;
-  result.winner_changed = result.latency_best != result.sweep.selection.hc_best;
+  result.best = result.locks.front().name;
+  result.best_score = result.locks.front().score;
+  result.winner_changed = result.best != result.sweep.selection.hc_best;
   return result;
 }
 

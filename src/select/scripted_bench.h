@@ -118,44 +118,66 @@ struct SweepResult {
 
 SweepResult RunScriptedBenchmark(const SweepConfig& config);
 
-// --- Robustness mode (docs/FAULT_INJECTION.md) ---
+// --- Perturbation re-ranking (docs/FAULT_INJECTION.md, docs/TIMEOUT.md) ---
 //
-// The throughput sweep above evaluates every lock under ideal conditions; the
-// robustness mode re-evaluates the sweep's winners under a matrix of deterministic
-// perturbations (src/fault/scenarios.h) and re-ranks them on how much throughput they
-// retain. A lock that wins the ideal sweep but collapses under lock-holder preemption
-// or background interference is exactly the selection mistake this mode catches.
+// The throughput sweep above evaluates every lock under ideal conditions. The
+// re-ranker re-evaluates the sweep's winners at one probe thread count under a matrix
+// of deterministic perturbations (src/fault/scenarios.h) and ranks them by one of two
+// objectives:
+//  * kRetainedThroughput (clof_bench --robustness): how much throughput a winner
+//    retains. A lock that wins the ideal sweep but collapses under lock-holder
+//    preemption or background interference is exactly the selection mistake this
+//    catches. Default scenarios: the full fault matrix.
+//  * kWorstP999 (clof_bench --latency): how bad the tail gets, the question a service
+//    with per-request deadlines asks. A composition can retain 90% throughput under
+//    churn while its p999 explodes, and it is the p999, not the mean, that decides how
+//    many requests a deadline sheds. Default scenarios: churn alone, the scenario that
+//    stretches queue-lock tails hardest (abandoned positions, cold restarts).
+
+enum class Objective {
+  kRetainedThroughput,  // descending HC score x worst-case retention
+  kWorstP999,           // ascending worst-case acquire p999
+};
+
+// "robustness" or "latency": the objective's clof_bench mode name.
+const char* ObjectiveName(Objective objective);
 
 // One candidate lock under one perturbation scenario, at the probe thread count.
-struct ScenarioOutcome {
+struct PerturbedCell {
   std::string scenario;
   double throughput_per_us = 0.0;
-  double retention = 0.0;        // faulted throughput / unfaulted throughput
-  double acquire_p99_ns = 0.0;   // exact nearest-rank p99 under the perturbation
+  double retention = 0.0;        // perturbed throughput / unperturbed throughput
+  double acquire_p99_ns = 0.0;   // exact nearest-rank percentiles under the perturbation
+  double acquire_p999_ns = 0.0;
   int starved_threads = 0;
-  // The perturbed cell never finished (deadlock / watchdog trip / exception): the
-  // lock retains nothing under this scenario (retention 0), which zeroes its
-  // robust_score — the strongest possible robustness verdict.
+  // The perturbed cell never finished (deadlock / watchdog trip / exception): the lock
+  // retains nothing (retention 0) and its tail is unbounded (infinite p999), the
+  // strongest verdict under either objective.
   bool failed = false;
   std::string failure_kind;  // "deadlock" | "watchdog" | "exception" when failed
 };
 
-struct LockRobustness {
+struct PerturbedLock {
   std::string name;
-  double hc_score = 0.0;               // the ideal-sweep HC score (ranking weight)
-  double baseline_throughput = 0.0;    // unfaulted, at the probe thread count
+  double hc_score = 0.0;             // the ideal-sweep HC score
+  double baseline_throughput = 0.0;  // unperturbed, at the probe thread count
   double baseline_p99_ns = 0.0;
-  std::vector<ScenarioOutcome> outcomes;  // one per scenario, matrix order
-  double worst_retention = 1.0;        // min retention over the matrix
-  // Robustness-aware ranking weight: the ideal HC score discounted by the worst-case
-  // retention. A fragile lock keeps its throughput credit only if it survives.
-  double robust_score = 0.0;
+  double baseline_p999_ns = 0.0;
+  std::vector<PerturbedCell> outcomes;  // one per scenario, matrix order
+  double worst_retention = 1.0;      // min retention over the matrix
+  double worst_p999_ns = 0.0;        // max p999 over the matrix (infinity if any failed)
+  // The objective's ranking key: hc_score x worst_retention, higher is better, for
+  // kRetainedThroughput (a fragile lock keeps its throughput credit only if it
+  // survives); worst_p999_ns, lower is better, for kWorstP999.
+  double score = 0.0;
 };
 
-struct RobustnessConfig {
+struct PerturbationConfig {
   // The base sweep (its spec.fault must be all-disabled: the sweep is the baseline).
   SweepConfig sweep;
-  // Perturbations to apply; empty = fault::DefaultMatrix(sweep.spec.seed).
+  Objective objective = Objective::kRetainedThroughput;
+  // Perturbations to apply; empty = the objective's default set, seeded from
+  // sweep.spec.seed.
   std::vector<fault::Scenario> scenarios;
   // How many of the top HC-ranked locks to re-evaluate (the LC-best is always added).
   int candidates = 5;
@@ -163,88 +185,26 @@ struct RobustnessConfig {
   int probe_threads = 0;
 };
 
-struct RobustnessResult {
-  SweepResult sweep;                    // the unperturbed sweep + its selection
+struct PerturbationResult {
+  SweepResult sweep;                  // the unperturbed sweep + its selection
   std::vector<fault::Scenario> scenarios;
   int probe_threads = 0;
-  std::vector<LockRobustness> locks;    // candidates, best robust_score first
-  std::string robust_best;              // argmax robust_score; empty when locks is
-  double robust_best_score = 0.0;       // empty (baseline quarantined everything)
-  bool winner_changed = false;          // robust_best != sweep.selection.hc_best
+  std::vector<PerturbedLock> locks;   // candidates, best score first
+  std::string best;                   // the top-ranked candidate; empty when locks is
+  double best_score = 0.0;            // empty (baseline quarantined everything)
+  bool winner_changed = false;        // best != sweep.selection.hc_best
   // Human-readable caveat when the candidate set is not what was asked for: the
   // requested top-K exceeded the surviving locks (clamped), or the baseline sweep
   // quarantined every lock (locks stays empty). Empty when the run was unremarkable.
   std::string note;
 };
 
-// Runs the scripted benchmark, then the perturbation matrix over its winners. Cells
-// execute on the same executor/cache machinery as the sweep (the FaultPlan is part of
-// each cell's fingerprint), so robustness runs are byte-identical for any `jobs` and
-// cache-served on repetition. Deterministic: same config => identical result.
-RobustnessResult RunRobustnessBenchmark(const RobustnessConfig& config);
-
-// --- Bounded-latency mode (docs/TIMEOUT.md) ---
-//
-// The robustness mode above asks "how much *throughput* does a winner retain under
-// perturbation"; a service with per-request deadlines asks a different question: "how
-// bad does the *tail* get". A composition can retain 90% throughput under churn while
-// its p999 explodes — and it is the p999, not the mean, that decides how many requests
-// a deadline sheds. This mode re-evaluates the sweep's winners at the probe point
-// under a perturbation matrix (default: churn alone, the tail-stretcher) and re-ranks
-// them ascending by their worst-case acquire p999.
-
-// One candidate lock under one perturbation scenario, tail view.
-struct LatencyOutcome {
-  std::string scenario;
-  double acquire_p999_ns = 0.0;   // exact nearest-rank p999 under the perturbation
-  double throughput_per_us = 0.0; // context: how much capacity the tail cost
-  // The perturbed cell never finished: this lock's tail is unbounded under the
-  // scenario, the strongest possible disqualification (worst_p999_ns -> infinity).
-  bool failed = false;
-  std::string failure_kind;  // "deadlock" | "watchdog" | "exception" when failed
-};
-
-struct LockLatency {
-  std::string name;
-  double hc_score = 0.0;             // the ideal-sweep HC score (for reference)
-  double baseline_p999_ns = 0.0;     // unfaulted p999 at the probe thread count
-  double baseline_throughput = 0.0;
-  std::vector<LatencyOutcome> outcomes;  // one per scenario, matrix order
-  // Ranking key: max acquire p999 over the matrix (infinity when any cell failed).
-  // Lower is better — the composition whose tail degrades least under churn is the
-  // one a deadline-bound service should deploy.
-  double worst_p999_ns = 0.0;
-};
-
-struct LatencySelectionConfig {
-  // The base sweep (its spec.fault must be all-disabled, as in RobustnessConfig).
-  SweepConfig sweep;
-  // Perturbations to apply; empty = just "churn" seeded from sweep.spec.seed — the
-  // scenario that stretches queue-lock tails hardest (abandoned positions, cold
-  // restarts) and the one the ISSUE's p999 selection story is about.
-  std::vector<fault::Scenario> scenarios;
-  // How many of the top HC-ranked locks to re-evaluate (the LC-best is always added).
-  int candidates = 5;
-  // Thread count the matrix runs at; 0 = the highest sweep point (most contended).
-  int probe_threads = 0;
-};
-
-struct LatencySelectionResult {
-  SweepResult sweep;                    // the unperturbed sweep + its selection
-  std::vector<fault::Scenario> scenarios;
-  int probe_threads = 0;
-  std::vector<LockLatency> locks;       // candidates, lowest worst_p999_ns first
-  std::string latency_best;             // argmin worst_p999_ns; empty when locks is
-  double latency_best_p999_ns = 0.0;    // empty (baseline quarantined everything)
-  bool winner_changed = false;          // latency_best != sweep.selection.hc_best
-  // Same caveat contract as RobustnessResult::note.
-  std::string note;
-};
-
-// Runs the scripted benchmark, then the perturbation matrix over its winners, ranking
-// by worst-case acquire p999 instead of retained throughput. Same executor/cache
-// machinery and determinism contract as RunRobustnessBenchmark.
-LatencySelectionResult RunLatencySelection(const LatencySelectionConfig& config);
+// Runs the scripted benchmark, then the perturbation matrix over its winners, and
+// ranks them by `config.objective`. Cells execute on the same executor/cache machinery
+// as the sweep (the FaultPlan is part of each cell's fingerprint), so runs are
+// byte-identical for any `jobs` and cache-served on repetition. Deterministic: same
+// config => identical result.
+PerturbationResult RunPerturbationRanking(const PerturbationConfig& config);
 
 }  // namespace clof::select
 

@@ -23,6 +23,7 @@ struct LockCurve {
   std::vector<double> local_handover_rate;  // handovers within the lowest hierarchy level
   std::vector<double> transfers_per_op;     // simulated line transfers per completed op
   std::vector<double> acquire_p99_ns;       // exact nearest-rank p99 acquire latency
+  std::vector<double> acquire_p999_ns;      // exact nearest-rank p999 acquire latency
 };
 
 enum class Policy {

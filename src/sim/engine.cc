@@ -29,24 +29,6 @@ constexpr int32_t kBulkWakeThreshold = 8;
 // by sweep workers to a few megabytes.
 constexpr size_t kChunkPoolCap = 512;
 
-// First set bit of `bits` at position >= from (bit indices 0..255), or -1.
-int NextOccupied(const std::array<uint64_t, 4>& bits, int from) {
-  if (from >= 256) {
-    return -1;
-  }
-  int word = from >> 6;
-  uint64_t masked = bits[word] & (~uint64_t{0} << (from & 63));
-  while (true) {
-    if (masked != 0) {
-      return (word << 6) + __builtin_ctzll(masked);
-    }
-    if (++word == 4) {
-      return -1;
-    }
-    masked = bits[word];
-  }
-}
-
 }  // namespace
 
 Engine::Engine(const topo::Topology& topology, PlatformModel platform)
@@ -128,13 +110,9 @@ void Engine::Run() {
   Engine* previous = current_engine_;
   current_engine_ = this;
   unfinished_ = static_cast<int>(threads_.size());
-  if (scheduler_ == SchedulerKind::kIndexedHeap) {
-    // Each thread occupies at most one heap slot (it is either running, parked on a
-    // line, or queued), so this one reservation covers the whole run.
-    heap_.reserve(threads_.size());
-  } else if (wheel_ == nullptr) {
-    wheel_ = std::make_unique<WheelState>();
-  }
+  // Each thread occupies at most one heap slot (it is either running, parked on a
+  // line, or queued), so this one reservation covers the whole run.
+  heap_.reserve(threads_.size());
   for (auto& thread : threads_) {
     MakeReady(thread.get());
   }
@@ -142,8 +120,8 @@ void Engine::Run() {
   // ParkOnLine); control returns to this loop only when the running thread finishes
   // (its fiber's parent is the main fiber) or parks with nothing left runnable. Either
   // way `current_` names the thread that gave control back.
-  while (queue_size_ > 0) {
-    SimThread* thread = QueuePop();
+  while (!heap_.empty()) {
+    SimThread* thread = HeapPop();
     current_ = thread;
     runtime::Fiber::Switch(main_fiber_, *thread->fiber);
     SimThread* last = current_;
@@ -195,7 +173,7 @@ void Engine::WatchdogObserve(const PreparedAccess& prepared) {
     record.thread_id = current_->id;
     record.cpu = prepared.cpu;
     record.kind = static_cast<int>(prepared.kind);
-    record.line = LineOrdinal(prepared.line_addr);
+    record.line = PeekLineIndex(prepared.line_addr);
     record.completion = prepared.completion;
     w.ring_next = (w.ring_next + 1) % w.ring.size();
     ++w.ring_count;
@@ -282,8 +260,8 @@ EngineDiagnostic Engine::CaptureDiagnostic(const char* reason) {
                  : t == current_ ? ThreadState::kRunning
                                  : ThreadState::kRunnable;
     if (t->parked) {
-      info.parked_line = LineOrdinal(t->parked_line);
       const uint32_t index = PeekLineIndex(t->parked_line);
+      info.parked_line = index;
       if (index != kNoLine) {
         info.line_owner_cpu = ColdAt(index).owner;
         info.line_waiters = HotAt(index).num_waiters;
@@ -304,19 +282,7 @@ EngineDiagnostic Engine::CaptureDiagnostic(const char* reason) {
   return diagnostic;
 }
 
-uint32_t Engine::PeekLineIndex(uintptr_t line_addr) {
-  const size_t mask = line_index_.size() - 1;
-  size_t slot = HashLineAddr(line_addr) & mask;
-  while (true) {
-    const LineSlot& entry = line_index_[slot];
-    if (entry.index == kNoLine || entry.addr == line_addr) {
-      return entry.index;
-    }
-    slot = (slot + 1) & mask;
-  }
-}
-
-uint32_t Engine::LineOrdinal(uintptr_t line_addr) const {
+uint32_t Engine::PeekLineIndex(uintptr_t line_addr) const {
   const size_t mask = line_index_.size() - 1;
   size_t slot = HashLineAddr(line_addr) & mask;
   while (true) {
@@ -409,13 +375,11 @@ void Engine::WakeWaiters(LineHot& hot, const PreparedAccess& prepared) {
   hot.waiter_tail = nullptr;
   const int32_t count = hot.num_waiters;
   hot.num_waiters = 0;
-  // Storm herds under the heap scheduler bypass MakeReady: append every woken thread
-  // to the heap tail (stamps still taken in park order), then restore the heap
-  // property with one bulk build in HeapBulkAppend. The pop sequence is a function of
-  // the (time, order) key multiset alone, so results are byte-identical to the
-  // one-push-per-waiter path.
-  const bool bulk =
-      scheduler_ == SchedulerKind::kIndexedHeap && count >= kBulkWakeThreshold;
+  // Storm herds bypass MakeReady: append every woken thread to the heap tail (stamps
+  // still taken in park order), then restore the heap property with one bulk build in
+  // HeapBulkAppend. The pop sequence is a function of the (time, order) key multiset
+  // alone, so results are byte-identical to the one-push-per-waiter path.
+  const bool bulk = count >= kBulkWakeThreshold;
   const size_t first_new = heap_.size();
   while (waiter != nullptr) {
     SimThread* next = waiter->next_waiter;
@@ -428,7 +392,6 @@ void Engine::WakeWaiters(LineHot& hot, const PreparedAccess& prepared) {
     waiter->time = std::max(waiter->time, completion);
     if (bulk) {
       heap_.push_back(ReadyEntry{waiter->time, MakeKey(waiter)});
-      ++queue_size_;
     } else {
       MakeReady(waiter);
     }
@@ -474,11 +437,11 @@ void Engine::ParkOnLine(uintptr_t line_addr, uint64_t seen_version, bool rmw_spi
   }
   hot.waiter_tail = self;
   ++hot.num_waiters;
-  if (queue_size_ == 0) {
+  if (heap_.empty()) {
     SwitchToScheduler(self);  // nothing runnable: let Run() detect end or deadlock
     return;
   }
-  SimThread* next = QueuePop();
+  SimThread* next = HeapPop();
   current_ = next;
   runtime::Fiber::Switch(*self->fiber, *next->fiber);
 }
@@ -547,227 +510,20 @@ void Engine::HeapBulkAppend(size_t first_new) {
 void Engine::MakeReady(SimThread* thread) {
   // Callers only ever ready a thread that is not queued (it is running XOR queued XOR
   // parked), so this is a plain insert — no membership test or re-key path needed.
-  const ReadyEntry entry{thread->time, MakeKey(thread)};
-  if (scheduler_ == SchedulerKind::kIndexedHeap) {
-    heap_.push_back(entry);
-    HeapSiftUp(heap_.size() - 1);
-  } else {
-    WheelInsert(entry);
-  }
-  ++queue_size_;
-}
-
-Engine::SimThread* Engine::QueuePop() {
-  --queue_size_;
-  return scheduler_ == SchedulerKind::kIndexedHeap ? HeapPop() : WheelPop();
-}
-
-void Engine::WheelInsert(const ReadyEntry& entry) {
-  WheelState& w = *wheel_;
-  if (entry.time < w.cursor + (Time{1} << kWheelShift)) {
-    // In the active bucket's span (or before it — only a watchdog force-wake of a
-    // stale-clock thread can do that, and a draining run no longer needs exact
-    // order): push onto the current min-heap.
-    w.current.push_back(entry);
-    size_t slot = w.current.size() - 1;
-    while (slot > 0) {
-      const size_t parent = (slot - 1) / 2;
-      if (!EntryBefore(w.current[slot], w.current[parent])) {
-        break;
-      }
-      std::swap(w.current[slot], w.current[parent]);
-      slot = parent;
-    }
-    return;
-  }
-  const uint64_t delta = (entry.time - w.cursor) >> kWheelShift;  // >= 1
-  int level = (63 - __builtin_clzll(delta)) >> 3;                 // log base 256
-  int slot;
-  if (level >= kWheelLevels) {
-    // Beyond the wheel horizon (~17.6 virtual seconds): clamp to the farthest
-    // top-level slot; each cascade re-files it until it comes within range.
-    level = kWheelLevels - 1;
-    slot = static_cast<int>(((w.cursor >> WheelLevelShift(level)) + kWheelSlots - 1) &
-                            (kWheelSlots - 1));
-  } else {
-    slot = static_cast<int>((entry.time >> WheelLevelShift(level)) & (kWheelSlots - 1));
-  }
-  w.slots[level][slot].push_back(entry);
-  w.occupancy[level][slot >> 6] |= uint64_t{1} << (slot & 63);
-}
-
-void Engine::WheelCascade(int level, int slot) {
-  WheelState& w = *wheel_;
-  std::vector<ReadyEntry> bucket = std::move(w.slots[level][slot]);
-  w.occupancy[level][slot >> 6] &= ~(uint64_t{1} << (slot & 63));
-  for (const ReadyEntry& entry : bucket) {
-    WheelInsert(entry);  // lands at a lower level or in the current bucket
-  }
-  bucket.clear();
-  w.slots[level][slot] = std::move(bucket);  // keep the capacity for reuse
-}
-
-bool Engine::WheelLevelEmpty(int level) const {
-  const auto& occ = wheel_->occupancy[level];
-  return (occ[0] | occ[1] | occ[2] | occ[3]) == 0;
-}
-
-void Engine::WheelAdvanceTo(Time new_cursor) {
-  WheelState& w = *wheel_;
-  const Time old = w.cursor;
-  w.cursor = new_cursor;
-  // Open every bucket the cursor newly entered, highest level first: each cascade
-  // re-files its entries relative to the new cursor, dropping them into lower levels
-  // (possibly the lower level's own new bucket, which a later iteration then opens)
-  // or straight into `current`. A bit at a bucket the cursor did NOT just enter means
-  // next-epoch entries (filed under a wrapped slot index) and must stay shut.
-  for (int level = kWheelLevels - 1; level >= 1; --level) {
-    const int shift = WheelLevelShift(level);
-    if ((new_cursor >> shift) == (old >> shift)) {
-      continue;  // still inside the same bucket at this level
-    }
-    const int slot = static_cast<int>((new_cursor >> shift) & (kWheelSlots - 1));
-    if ((w.occupancy[level][slot >> 6] >> (slot & 63)) & 1u) {
-      WheelCascade(level, slot);
-    }
-  }
-}
-
-void Engine::WheelRefill() {
-  WheelState& w = *wheel_;
-  // Caller guarantees at least one filed entry. Level-0 slot indices wrap every 256
-  // buckets, so a set bit at or before the cursor's slot was filed one epoch ahead
-  // and must not drain yet: the scan is strictly-after. Right after a boundary
-  // advance the cursor sits at a fresh epoch start where every surviving bit is
-  // current-epoch (own-slot filings are impossible from a boundary cursor), so the
-  // scan becomes inclusive there.
-  int from0 = static_cast<int>((w.cursor >> kWheelShift) & (kWheelSlots - 1)) + 1;
-  while (true) {
-    const int target = NextOccupied(w.occupancy[0], from0);
-    if (target >= 0) {
-      constexpr Time kEpochMask = (Time{1} << (kWheelShift + 8)) - 1;
-      w.cursor = (w.cursor & ~kEpochMask) | (Time{static_cast<uint64_t>(target)}
-                                             << kWheelShift);
-      std::vector<ReadyEntry> bucket = std::move(w.slots[0][target]);
-      w.occupancy[0][target >> 6] &= ~(uint64_t{1} << (target & 63));
-      // Merge the drained bucket into `current` (usually empty; a cascade may have
-      // pre-filled it) and restore the heap with one Floyd build. Mixing two adjacent
-      // buckets in one heap is order-safe: pops compare full (time, order) keys, and
-      // every still-filed entry is later than both buckets.
-      for (const ReadyEntry& entry : bucket) {
-        w.current.push_back(entry);
-      }
-      bucket.clear();
-      w.slots[0][target] = std::move(bucket);  // keep the capacity for reuse
-      for (size_t i = w.current.size() / 2; i-- > 0;) {
-        size_t slot = i;
-        const ReadyEntry moving = w.current[slot];
-        const size_t size = w.current.size();
-        while (true) {
-          size_t child = slot * 2 + 1;
-          if (child >= size) {
-            break;
-          }
-          if (child + 1 < size && EntryBefore(w.current[child + 1], w.current[child])) {
-            ++child;
-          }
-          if (!EntryBefore(w.current[child], moving)) {
-            break;
-          }
-          w.current[slot] = w.current[child];
-          slot = child;
-        }
-        w.current[slot] = moving;
-      }
-      return;
-    }
-    if (!w.current.empty()) {
-      return;  // an advance below cascaded entries straight into the active bucket
-    }
-    // This level-0 epoch is dry. Advance the cursor: from the lowest level up, either
-    // jump to the next occupied bucket in that level's current epoch, or — when the
-    // level below still holds wrapped (next-epoch) entries — step exactly one slot
-    // boundary at this level, which is where that next epoch begins. WheelAdvanceTo
-    // opens whatever buckets the new position lands in (including carry ripples).
-    bool advanced = false;
-    for (int level = 1; level < kWheelLevels && !advanced; ++level) {
-      const int shift = WheelLevelShift(level);
-      if (!WheelLevelEmpty(level - 1)) {
-        WheelAdvanceTo(((w.cursor >> shift) + 1) << shift);
-        advanced = true;
-        break;
-      }
-      const int slot = static_cast<int>((w.cursor >> shift) & (kWheelSlots - 1));
-      const int next_slot = NextOccupied(w.occupancy[level], slot + 1);
-      if (next_slot >= 0) {
-        const Time base = (w.cursor >> (shift + 8)) << (shift + 8);
-        WheelAdvanceTo(base | (Time{static_cast<uint64_t>(next_slot)} << shift));
-        advanced = true;
-      }
-    }
-    if (!advanced) {
-      // Everything below the top level is empty and the top has nothing ahead this
-      // epoch: only wrapped top-level entries remain (including beyond-horizon
-      // clamps) — one whole wheel horizon ahead. If even those are absent the wheel
-      // truly lost an entry; fail loudly rather than spin.
-      if (WheelLevelEmpty(kWheelLevels - 1)) {
-        std::fprintf(stderr, "sim::Engine: timing wheel lost a ready entry\n");
-        std::abort();
-      }
-      const int horizon_shift = WheelLevelShift(kWheelLevels - 1) + 8;
-      WheelAdvanceTo(((w.cursor >> horizon_shift) + 1) << horizon_shift);
-    }
-    from0 = 0;
-  }
-}
-
-Engine::SimThread* Engine::WheelPop() {
-  WheelState& w = *wheel_;
-  if (w.current.empty()) {
-    WheelRefill();
-  }
-  const ReadyEntry top = w.current.front();
-  const ReadyEntry last = w.current.back();
-  w.current.pop_back();
-  const size_t size = w.current.size();
-  if (size > 0) {
-    size_t slot = 0;
-    while (true) {
-      size_t child = slot * 2 + 1;
-      if (child >= size) {
-        break;
-      }
-      if (child + 1 < size && EntryBefore(w.current[child + 1], w.current[child])) {
-        ++child;
-      }
-      if (!EntryBefore(w.current[child], last)) {
-        break;
-      }
-      w.current[slot] = w.current[child];
-      slot = child;
-    }
-    w.current[slot] = last;
-  }
-  return ThreadOf(top);
+  heap_.push_back(ReadyEntry{thread->time, MakeKey(thread)});
+  HeapSiftUp(heap_.size() - 1);
 }
 
 void Engine::HandOff(SimThread* self) {
-  SimThread* next;
-  if (scheduler_ == SchedulerKind::kIndexedHeap) {
-    // Direct handoff: take the earliest thread and switch straight to it. The heap
-    // front is guaranteed to order before `self` — it was at or before self's time,
-    // and self's FIFO stamp below is strictly newer — so push-self-then-pop would pop
-    // the current front anyway; replacing the root in place yields the same key
-    // multiset (and hence the same future pop sequence) with one sift instead of two.
-    // Compared to bouncing through the main scheduler fiber this also halves the
-    // context-switch cost.
-    next = ThreadOf(heap_.front());
-    heap_[0] = ReadyEntry{self->time, MakeKey(self)};
-    HeapSiftDown(0);
-  } else {
-    next = WheelPop();
-    WheelInsert(ReadyEntry{self->time, MakeKey(self)});
-  }
+  // Direct handoff: take the earliest thread and switch straight to it. The heap front
+  // is guaranteed to order before `self` — it was at or before self's time, and self's
+  // FIFO stamp below is strictly newer — so push-self-then-pop would pop the current
+  // front anyway; replacing the root in place yields the same key multiset (and hence
+  // the same future pop sequence) with one sift instead of two. Compared to bouncing
+  // through the main scheduler fiber this also halves the context-switch cost.
+  SimThread* next = ThreadOf(heap_.front());
+  heap_[0] = ReadyEntry{self->time, MakeKey(self)};
+  HeapSiftDown(0);
   current_ = next;
   runtime::Fiber::Switch(*self->fiber, *next->fiber);
 }

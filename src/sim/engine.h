@@ -220,13 +220,6 @@ class Engine {
   void SetFaultHook(FaultHook* hook) { fault_hook_ = hook; }
   FaultHook* fault_hook() const { return fault_hook_; }
 
-  // Selects the ready-queue implementation (SchedulerKind doc in platform.h). Must be
-  // called before Run(); both variants pop threads in the identical (time, FIFO-stamp)
-  // total order, so simulated results are byte-identical either way
-  // (tests/scheduler_identity_test.cc) — only host wall-clock differs.
-  void SetScheduler(SchedulerKind kind) { scheduler_ = kind; }
-  SchedulerKind scheduler() const { return scheduler_; }
-
   // Arms (or, with a config where !Enabled(), removes) the runaway watchdog
   // (src/sim/watchdog.h). Call before Run(); the wall-clock budget starts here. A trip
   // unwinds every simulated thread and Run() throws SimWatchdogError carrying the
@@ -349,10 +342,8 @@ class Engine {
 
   // --- Ready queue ---
   //
-  // Two interchangeable implementations behind SetScheduler() (SchedulerKind doc in
-  // platform.h). Both pop runnable threads in the exact (time, FIFO-stamp) total
-  // order, which is all the simulation's results depend on, so they are byte-identical
-  // and the choice stays out of cache fingerprints.
+  // A binary min-heap over ReadyEntry that pops runnable threads in the exact (time,
+  // FIFO-stamp) total order, which is all the simulation's results depend on.
   //
   // Keys are stored IN the queue entries (structure-of-arrays style), not read through
   // the thread pointer: at 1024 runnable threads a sift compares two entries per level
@@ -378,14 +369,14 @@ class Engine {
     return threads_[entry.key & ((uint64_t{1} << kThreadIdBits) - 1)].get();
   }
 
-  // Variant 1: binary min-heap over ReadyEntry. A thread is queued at most once, so
-  // one reserve() at Run() start makes the heap allocation-free for the whole run.
-  // Same-time wakeup herds are appended in bulk and rebuilt with one Floyd pass
-  // (HeapBulkAppend) instead of N individual sift-ups.
+  // A thread is queued at most once, so one reserve() at Run() start makes the heap
+  // allocation-free for the whole run. Same-time wakeup herds are appended in bulk and
+  // rebuilt with one Floyd pass (HeapBulkAppend) instead of N individual sift-ups.
   void HeapSiftUp(size_t slot);
   void HeapSiftDown(size_t slot);
   SimThread* HeapPop();
   void HeapBulkAppend(size_t first_new);  // entries [first_new, end) already appended
+  void MakeReady(SimThread* thread);
 
   // Host-thread-local recycling pools for the line arenas (the ParallelSweep chunk
   // pool): ~Engine parks its chunks there, the next engine on the same host thread
@@ -393,35 +384,6 @@ class Engine {
   // chunks across host threads — reuse stays deterministic.
   static auto HotChunkPool() -> std::vector<std::unique_ptr<LineHot[]>>&;
   static auto ColdChunkPool() -> std::vector<std::unique_ptr<LineCold[]>>&;
-
-  // Variant 2: hierarchical timing wheel. kWheelLevels levels of kWheelSlots buckets;
-  // level L buckets span 2^(kWheelShift + 8L) ps, so the wheel covers ~17.6 virtual
-  // seconds before far-future entries get clamped into the top level and re-cascaded.
-  // The active bucket is drained into a small min-heap (wheel_current_), giving exact
-  // (time, order) pops; a per-level occupancy bitmap skips empty buckets. Inserts are
-  // O(1) and pops amortize the cascade, but on lock workloads wakeup herds land whole
-  // waiter lists in one bucket, so the bucket heap grows as deep as the global heap
-  // and the wheel pays its cascades on top — the indexed heap wins head-to-head at
-  // every scale measured so far (docs/SIM_ENGINE.md has the numbers). Kept as a
-  // benchmarked alternative for time-sparse workloads. Correctness rests on the DES
-  // invariant that every insert's key is >= the last popped key, so the cursor only
-  // ever advances.
-  static constexpr int kWheelLevels = 4;
-  static constexpr int kWheelSlots = 256;  // 8 bits per level
-  static constexpr int kWheelShift = 12;   // level-0 bucket = 2^12 ps ~ 4 ns
-  static int WheelLevelShift(int level) { return kWheelShift + 8 * level; }
-  void WheelInsert(const ReadyEntry& entry);
-  void WheelRefill();  // advance cursor/cascade until wheel_current_ is non-empty
-  void WheelCascade(int level, int slot);
-  void WheelAdvanceTo(Time new_cursor);  // move cursor, opening newly-entered buckets
-  bool WheelLevelEmpty(int level) const;
-  SimThread* WheelPop();
-
-  // The facade the scheduler hot paths use; each is one predictable branch on
-  // scheduler_. QueueMinTime requires a non-empty queue and may cascade the wheel.
-  void MakeReady(SimThread* thread);
-  SimThread* QueuePop();
-  Time QueueMinTime();
 
   // A miss's cost plus where the servicing copy came from: a topology level index,
   // topo::Topology::kSameCpu, or num_levels() when no valid copy exists (cold).
@@ -460,7 +422,7 @@ class Engine {
   // only resumed when a thread finishes or nothing is runnable, not on every
   // reschedule.
   void YieldRunnable(SimThread* self) {
-    if (queue_size_ == 0 || QueueMinTime() > self->time) {
+    if (heap_.empty() || heap_.front().time > self->time) {
       return;
     }
     HandOff(self);
@@ -496,31 +458,20 @@ class Engine {
   void WatchdogWorkCheck(SimThread* self);                // per Work(), watchdog on
   [[noreturn]] void WatchdogTrip(std::string reason);
   EngineDiagnostic CaptureDiagnostic(const char* reason);
-  uint32_t PeekLineIndex(uintptr_t line_addr);  // lookup sans creation; kNoLine if absent
-  // Arena first-touch ordinal of a line (kNoLine if never touched). Used to label
-  // lines in diagnostics: ordinals follow deterministic simulation order, so dumps
-  // are byte-identical across identical runs, unlike raw heap addresses.
-  uint32_t LineOrdinal(uintptr_t line_addr) const;
+  // Arena index of a line without creating it (kNoLine if never touched). The index is
+  // the line's first-touch ordinal, so diagnostics label lines with it: ordinals follow
+  // deterministic simulation order, and dumps are byte-identical across identical
+  // runs, unlike raw heap addresses.
+  uint32_t PeekLineIndex(uintptr_t line_addr) const;
 
   // The engine running on this host thread, set for the duration of Run(). An inline
   // member so the hot-path accessors above compile to direct TLS loads.
   static inline thread_local Engine* current_engine_ = nullptr;
 
-  // Timing-wheel state (variant 2), allocated lazily in Run() only when selected so a
-  // heap-mode engine never pays for the 4x256 bucket vectors.
-  struct WheelState {
-    std::array<std::array<std::vector<ReadyEntry>, kWheelSlots>, kWheelLevels> slots;
-    std::array<std::array<uint64_t, kWheelSlots / 64>, kWheelLevels> occupancy{};
-    std::vector<ReadyEntry> current;  // min-heap (EntryBefore): the active bucket
-    Time cursor = 0;                  // low edge of the active level-0 bucket, aligned
-  };
-
   const topo::Topology* topology_;
   PlatformModel platform_;
   std::vector<std::unique_ptr<SimThread>> threads_;
-  std::vector<ReadyEntry> heap_;  // variant 1: indexed binary min-heap
-  std::unique_ptr<WheelState> wheel_;
-  size_t queue_size_ = 0;  // runnable threads queued, whichever variant holds them
+  std::vector<ReadyEntry> heap_;  // the ready queue: binary min-heap (EntryBefore)
   std::vector<LineSlot> line_index_;  // open addressing, power-of-two
   // Parallel arenas (SoA line table); chunk i of each covers the same 64 lines.
   std::vector<std::unique_ptr<LineHot[]>> hot_chunks_;
@@ -532,7 +483,6 @@ class Engine {
   uint64_t total_accesses_ = 0;
   uint64_t total_line_transfers_ = 0;
   std::vector<trace::LevelMetrics> level_metrics_;  // trace::LevelBucket layout
-  SchedulerKind scheduler_ = SchedulerKind::kIndexedHeap;
   trace::EventSink* sink_ = nullptr;
   FaultHook* fault_hook_ = nullptr;
   std::unique_ptr<WatchdogState> watchdog_;  // null = no watchdog (fast path)
@@ -592,16 +542,6 @@ inline Engine::MissSource Engine::MissFrom(int cpu, const LineCold& cold) const 
     return {platform_.l1_hit_ns, best_level};  // another thread on the same CPU holds it
   }
   return {platform_.LatencyNs(best_level), best_level};
-}
-
-inline Time Engine::QueueMinTime() {
-  if (scheduler_ == SchedulerKind::kIndexedHeap) {
-    return heap_.front().time;
-  }
-  if (wheel_->current.empty()) {
-    WheelRefill();  // queue_size_ > 0, so a bucket somewhere holds the next entry
-  }
-  return wheel_->current.front().time;
 }
 
 inline Engine::PreparedAccess Engine::PrepareAccess(uintptr_t line_addr, OpKind kind) {

@@ -41,16 +41,6 @@ enum class Arch { kX86, kArm };
 // cells (bump exec::kCellSchemaVersion).
 inline constexpr int kLineMaxHolders = 4;
 
-// Ready-queue implementation of the discrete-event engine (docs/SIM_ENGINE.md). Both
-// variants pop runnable threads in the exact same (time, FIFO-stamp) total order, so
-// every simulated result is byte-identical across them — the choice only affects host
-// wall-clock, which is why it deliberately stays out of the sweep cache fingerprint
-// (src/exec/fingerprint.h), like BenchConfig::force_closure_api.
-enum class SchedulerKind {
-  kIndexedHeap,  // indexed binary min-heap embedded in the thread records (default)
-  kTimingWheel,  // hierarchical timing wheel bucketed by virtual time
-};
-
 struct PlatformModel {
   std::string name;
   Arch arch = Arch::kX86;

@@ -194,10 +194,18 @@ TEST(FaultHarnessTest, ChurnStopsASeededSubsetEarly) {
   EXPECT_EQ(faulted.starved_threads, 0);
 }
 
-// --- Robustness sweep: determinism across jobs and the cache, exact no-op identity ---
+// --- Perturbation re-ranking: determinism across jobs and the cache, exact no-op
+// identity ---
 
-select::RobustnessConfig SmallRobustness(const sim::Machine& machine) {
-  select::RobustnessConfig config;
+// Both ranking objectives run the same candidate x scenario executor loop; the
+// determinism tests below cover each.
+constexpr select::Objective kObjectives[] = {select::Objective::kRetainedThroughput,
+                                             select::Objective::kWorstP999};
+
+select::PerturbationConfig SmallRobustness(
+    const sim::Machine& machine,
+    select::Objective objective = select::Objective::kRetainedThroughput) {
+  select::PerturbationConfig config;
   config.sweep.spec.machine = &machine;
   config.sweep.spec.hierarchy =
       topo::Hierarchy::Select(machine.topology, {"numa", "system"});
@@ -205,88 +213,100 @@ select::RobustnessConfig SmallRobustness(const sim::Machine& machine) {
   config.sweep.lock_names = {"mcs-mcs", "clh-clh", "tkt-mcs"};
   config.sweep.thread_counts = {1, 4, 16};
   config.sweep.duration_ms = 0.2;
+  config.objective = objective;
   config.candidates = 2;
   return config;
 }
 
-// Bitwise equality of two robustness results, memcmp on every double (mirrors
+// Bitwise equality of two re-ranking results, memcmp on every double (mirrors
 // parallel_sweep_test::ExpectBitIdentical).
-void ExpectRobustnessBitIdentical(const select::RobustnessResult& a,
-                                  const select::RobustnessResult& b,
+void ExpectRobustnessBitIdentical(const select::PerturbationResult& a,
+                                  const select::PerturbationResult& b,
                                   const std::string& label) {
   EXPECT_EQ(a.sweep.selection.hc_best, b.sweep.selection.hc_best) << label;
   EXPECT_EQ(a.probe_threads, b.probe_threads) << label;
   ASSERT_EQ(a.locks.size(), b.locks.size()) << label;
   for (size_t i = 0; i < a.locks.size(); ++i) {
-    const select::LockRobustness& la = a.locks[i];
-    const select::LockRobustness& lb = b.locks[i];
+    const select::PerturbedLock& la = a.locks[i];
+    const select::PerturbedLock& lb = b.locks[i];
     EXPECT_EQ(la.name, lb.name) << label;
     std::vector<double> da = {la.hc_score, la.baseline_throughput, la.baseline_p99_ns,
-                              la.worst_retention, la.robust_score};
+                              la.baseline_p999_ns, la.worst_retention, la.worst_p999_ns,
+                              la.score};
     std::vector<double> db = {lb.hc_score, lb.baseline_throughput, lb.baseline_p99_ns,
-                              lb.worst_retention, lb.robust_score};
+                              lb.baseline_p999_ns, lb.worst_retention, lb.worst_p999_ns,
+                              lb.score};
     for (const auto& outcome : la.outcomes) {
       da.insert(da.end(), {outcome.throughput_per_us, outcome.retention,
-                           outcome.acquire_p99_ns,
+                           outcome.acquire_p99_ns, outcome.acquire_p999_ns,
                            static_cast<double>(outcome.starved_threads)});
     }
     for (const auto& outcome : lb.outcomes) {
       db.insert(db.end(), {outcome.throughput_per_us, outcome.retention,
-                           outcome.acquire_p99_ns,
+                           outcome.acquire_p99_ns, outcome.acquire_p999_ns,
                            static_cast<double>(outcome.starved_threads)});
     }
     ASSERT_EQ(da.size(), db.size()) << label << " lock " << la.name;
     EXPECT_EQ(std::memcmp(da.data(), db.data(), da.size() * sizeof(double)), 0)
         << label << " lock " << la.name;
   }
-  EXPECT_EQ(a.robust_best, b.robust_best) << label;
+  EXPECT_EQ(a.best, b.best) << label;
   EXPECT_EQ(a.winner_changed, b.winner_changed) << label;
 }
 
 TEST(RobustnessTest, WorkerCountDoesNotChangeResults) {
   auto machine = sim::Machine::PaperArm();
-  select::RobustnessConfig config = SmallRobustness(machine);
-  config.sweep.jobs = 1;
-  auto serial = select::RunRobustnessBenchmark(config);
-  config.sweep.jobs = 2;
-  auto two = select::RunRobustnessBenchmark(config);
-  config.sweep.jobs = 4;
-  auto four = select::RunRobustnessBenchmark(config);
-  ExpectRobustnessBitIdentical(serial, two, "jobs=1 vs jobs=2");
-  ExpectRobustnessBitIdentical(serial, four, "jobs=1 vs jobs=4");
+  for (select::Objective objective : kObjectives) {
+    SCOPED_TRACE(select::ObjectiveName(objective));
+    select::PerturbationConfig config = SmallRobustness(machine, objective);
+    config.sweep.jobs = 1;
+    auto serial = select::RunPerturbationRanking(config);
+    config.sweep.jobs = 2;
+    auto two = select::RunPerturbationRanking(config);
+    config.sweep.jobs = 4;
+    auto four = select::RunPerturbationRanking(config);
+    ExpectRobustnessBitIdentical(serial, two, "jobs=1 vs jobs=2");
+    ExpectRobustnessBitIdentical(serial, four, "jobs=1 vs jobs=4");
+  }
 }
 
 TEST(RobustnessTest, CacheRoundTripIsByteIdentical) {
   auto machine = sim::Machine::PaperArm();
-  std::string dir = std::string(::testing::TempDir()) + "/clof_fault_cache";
-  std::filesystem::remove_all(dir);  // reruns must start cold
-  exec::ResultCache cache(dir);
-  select::RobustnessConfig config = SmallRobustness(machine);
-  config.sweep.jobs = 2;
-  config.sweep.cache = &cache;
+  for (select::Objective objective : kObjectives) {
+    SCOPED_TRACE(select::ObjectiveName(objective));
+    // One cache per objective: the two share every sweep cell, so a shared directory
+    // would serve the second objective's cold run.
+    std::string dir = std::string(::testing::TempDir()) + "/clof_fault_cache_" +
+                      select::ObjectiveName(objective);
+    std::filesystem::remove_all(dir);  // reruns must start cold
+    exec::ResultCache cache(dir);
+    select::PerturbationConfig config = SmallRobustness(machine, objective);
+    config.sweep.jobs = 2;
+    config.sweep.cache = &cache;
 
-  auto cold = select::RunRobustnessBenchmark(config);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_GT(cache.stores(), 0u);
-  const uint64_t cells = cache.stores();
+    auto cold = select::RunPerturbationRanking(config);
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_GT(cache.stores(), 0u);
+    const uint64_t cells = cache.stores();
 
-  auto warm = select::RunRobustnessBenchmark(config);
-  EXPECT_EQ(cache.hits(), cells) << "second run must be fully cache-served";
-  ExpectRobustnessBitIdentical(cold, warm, "computed vs cache-served");
+    auto warm = select::RunPerturbationRanking(config);
+    EXPECT_EQ(cache.hits(), cells) << "second run must be fully cache-served";
+    ExpectRobustnessBitIdentical(cold, warm, "computed vs cache-served");
+  }
 }
 
 TEST(RobustnessTest, DisabledScenarioRetainsExactlyEverything) {
   auto machine = sim::Machine::PaperArm();
-  select::RobustnessConfig config = SmallRobustness(machine);
+  select::PerturbationConfig config = SmallRobustness(machine);
   config.sweep.jobs = 2;
   // One all-disabled scenario: the "perturbed" cells must replay the baseline cells
   // byte for byte, so retention is exactly 1.0 — the no-fault identity from the issue.
   config.scenarios = {{"noop", fault::FaultPlan{}}};
-  auto result = select::RunRobustnessBenchmark(config);
+  auto result = select::RunPerturbationRanking(config);
   ASSERT_FALSE(result.locks.empty());
   for (const auto& lock : result.locks) {
     ASSERT_EQ(lock.outcomes.size(), 1u);
-    const select::ScenarioOutcome& outcome = lock.outcomes.front();
+    const select::PerturbedCell& outcome = lock.outcomes.front();
     EXPECT_EQ(std::memcmp(&outcome.throughput_per_us, &lock.baseline_throughput,
                           sizeof(double)),
               0)
@@ -296,25 +316,49 @@ TEST(RobustnessTest, DisabledScenarioRetainsExactlyEverything) {
               0)
         << lock.name;
     EXPECT_EQ(lock.worst_retention, 1.0) << lock.name;
-    EXPECT_EQ(std::memcmp(&lock.robust_score, &lock.hc_score, sizeof(double)), 0)
+    EXPECT_EQ(std::memcmp(&lock.score, &lock.hc_score, sizeof(double)), 0)
         << lock.name;
   }
-  EXPECT_EQ(result.robust_best, result.sweep.selection.hc_best);
+  EXPECT_EQ(result.best, result.sweep.selection.hc_best);
   EXPECT_FALSE(result.winner_changed);
+}
+
+// The p999 objective's mirror of the test above. Its baseline is read off the sweep
+// curve at the probe point, so this pins that the curve carries the cell's p999 and
+// not its p99.
+TEST(RobustnessTest, DisabledScenarioKeepsTheBaselineP999Exactly) {
+  auto machine = sim::Machine::PaperArm();
+  select::PerturbationConfig config =
+      SmallRobustness(machine, select::Objective::kWorstP999);
+  config.sweep.jobs = 2;
+  config.scenarios = {{"noop", fault::FaultPlan{}}};
+  auto result = select::RunPerturbationRanking(config);
+  ASSERT_FALSE(result.locks.empty());
+  for (const auto& lock : result.locks) {
+    ASSERT_EQ(lock.outcomes.size(), 1u);
+    const select::PerturbedCell& outcome = lock.outcomes.front();
+    EXPECT_EQ(std::memcmp(&outcome.acquire_p999_ns, &lock.baseline_p999_ns,
+                          sizeof(double)),
+              0)
+        << lock.name << ": scenario p999 " << outcome.acquire_p999_ns
+        << " vs baseline p999 " << lock.baseline_p999_ns;
+    EXPECT_EQ(std::memcmp(&lock.score, &lock.baseline_p999_ns, sizeof(double)), 0)
+        << lock.name;
+  }
 }
 
 TEST(RobustnessTest, RejectsAFaultedBaselineSweep) {
   auto machine = sim::Machine::PaperArm();
-  select::RobustnessConfig config = SmallRobustness(machine);
+  select::PerturbationConfig config = SmallRobustness(machine);
   config.sweep.spec.fault.preempt.enabled = true;
-  EXPECT_THROW(select::RunRobustnessBenchmark(config), std::invalid_argument);
+  EXPECT_THROW(select::RunPerturbationRanking(config), std::invalid_argument);
 }
 
 TEST(RobustnessTest, CandidatesIncludeTheLcBest) {
   auto machine = sim::Machine::PaperArm();
-  select::RobustnessConfig config = SmallRobustness(machine);
+  select::PerturbationConfig config = SmallRobustness(machine);
   config.candidates = 1;  // force the LC-best to be appended if it is not HC-top-1
-  auto result = select::RunRobustnessBenchmark(config);
+  auto result = select::RunPerturbationRanking(config);
   bool found = false;
   for (const auto& lock : result.locks) {
     found = found || lock.name == result.sweep.selection.lc_best;
@@ -324,28 +368,28 @@ TEST(RobustnessTest, CandidatesIncludeTheLcBest) {
 
 TEST(RobustnessTest, OverlongCandidateRequestClampsWithANote) {
   auto machine = sim::Machine::PaperArm();
-  select::RobustnessConfig config = SmallRobustness(machine);
+  select::PerturbationConfig config = SmallRobustness(machine);
   config.candidates = 10;  // only 3 locks swept
-  auto result = select::RunRobustnessBenchmark(config);
+  auto result = select::RunPerturbationRanking(config);
   EXPECT_EQ(result.locks.size(), 3u) << "clamp to the survivors, not silence or throw";
   EXPECT_NE(result.note.find("requested top-10"), std::string::npos) << result.note;
   EXPECT_NE(result.note.find("3 lock(s) survived"), std::string::npos) << result.note;
-  EXPECT_FALSE(result.robust_best.empty());
+  EXPECT_FALSE(result.best.empty());
 
   // A request the sweep can satisfy stays note-free.
   config.candidates = 2;
-  EXPECT_TRUE(select::RunRobustnessBenchmark(config).note.empty());
+  EXPECT_TRUE(select::RunPerturbationRanking(config).note.empty());
 }
 
 TEST(RobustnessTest, AllQuarantinedBaselineExplainsItselfInsteadOfRanking) {
   auto machine = sim::Machine::PaperArm();
-  select::RobustnessConfig config = SmallRobustness(machine);
+  select::PerturbationConfig config = SmallRobustness(machine);
   config.sweep.spec.registry = &torture::MutantRegistry();
   config.sweep.lock_names = {"mut-skip-unlock"};  // deadlocks in every cell
-  auto result = select::RunRobustnessBenchmark(config);
+  auto result = select::RunPerturbationRanking(config);
   EXPECT_TRUE(result.sweep.Quarantined("mut-skip-unlock"));
   EXPECT_TRUE(result.locks.empty());
-  EXPECT_TRUE(result.robust_best.empty());
+  EXPECT_TRUE(result.best.empty());
   EXPECT_FALSE(result.winner_changed);
   EXPECT_NE(result.note.find("quarantined all 1 lock(s)"), std::string::npos)
       << result.note;

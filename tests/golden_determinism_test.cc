@@ -1,6 +1,7 @@
 // Determinism canary: pins the FNV-1a hash of the full transcript of a small fixed
-// sweep — curves plus every observability/robustness sidecar, the selection, and a
-// faulted + unfaulted single cell on both paper platforms — as golden constants.
+// sweep — curves plus their observability/robustness sidecars, the selection, and a
+// faulted + unfaulted single cell on both paper platforms — and of two 1024-CPU cells
+// as golden constants.
 //
 // The repo's determinism invariant ("same program + same seed => identical virtual-time
 // results") is what makes hot-path refactors of the engine safe to land: any change
@@ -89,6 +90,8 @@ uint64_t SweepTranscript(const sim::Machine& machine, bool ctr_registry) {
     t.Doubles(curve.local_handover_rate);
     t.Doubles(curve.transfers_per_op);
     t.Doubles(curve.acquire_p99_ns);
+    // curve.acquire_p999_ns postdates the capture, so it stays out of the hash;
+    // parallel_sweep_test checks it is byte-identical across worker counts.
   }
   t.Str(result.selection.hc_best);
   t.Str(result.selection.lc_best);
@@ -159,11 +162,38 @@ uint64_t CellTranscript(const sim::Machine& machine, bool ctr_registry) {
   return t.hash();
 }
 
+// Two 4-level cells over all 1024 CPUs of the CXL pod, the largest ready queue any
+// golden cell builds: the ticket stack starts 1024 runnable threads, and its wakeup
+// herds are queued through the heap's bulk Floyd rebuild (Engine::HeapBulkAppend);
+// the mcs stack keeps handovers local, with long idle stretches between them.
+uint64_t CxlPod1024Transcript() {
+  const sim::Machine machine = sim::Machine::CxlPod1024();
+  harness::BenchConfig config;
+  config.spec.machine = &machine;
+  config.spec.hierarchy =
+      topo::Hierarchy::Select(machine.topology, {"cache", "numa", "pod", "system"});
+  config.spec.registry = &SimRegistry(true);
+
+  Transcript t;
+  config.lock_name = "mcs-mcs-mcs-mcs";
+  config.num_threads = 64;
+  config.duration_ms = 0.15;
+  HashBenchResult(t, harness::RunLockBench(config));
+  config.lock_name = "tkt-tkt-tkt-tkt";
+  config.num_threads = 1024;
+  config.duration_ms = 0.1;
+  HashBenchResult(t, harness::RunLockBench(config));
+  return t.hash();
+}
+
 // Golden constants: the pre-refactor capture described in the header comment.
 constexpr uint64_t kArmSweepGolden = 0x881010769f3bdf0bull;
 constexpr uint64_t kX86SweepGolden = 0x0ed8e304be0aae85ull;
 constexpr uint64_t kArmCellsGolden = 0x722ebbc8952e57cfull;
 constexpr uint64_t kX86CellsGolden = 0x0df4c1e0649bc89eull;
+// Captured at commit 2437e69, the last engine with two ready queues, where
+// tests/scheduler_identity_test.cc still checked these cells heap == timing wheel.
+constexpr uint64_t kCxlPod1024CellsGolden = 0xff81b46ef8ea1bf6ull;
 
 TEST(GoldenDeterminismTest, ArmSweepTranscriptMatchesCapture) {
   uint64_t actual = SweepTranscript(sim::Machine::PaperArm(), false);
@@ -183,6 +213,11 @@ TEST(GoldenDeterminismTest, ArmFaultedAndUnfaultedCellsMatchCapture) {
 TEST(GoldenDeterminismTest, X86FaultedAndUnfaultedCellsMatchCapture) {
   uint64_t actual = CellTranscript(sim::Machine::PaperX86(), true);
   EXPECT_EQ(actual, kX86CellsGolden) << "actual 0x" << std::hex << actual;
+}
+
+TEST(GoldenDeterminismTest, CxlPod1024FourLevelCellsMatchCapture) {
+  uint64_t actual = CxlPod1024Transcript();
+  EXPECT_EQ(actual, kCxlPod1024CellsGolden) << "actual 0x" << std::hex << actual;
 }
 
 }  // namespace

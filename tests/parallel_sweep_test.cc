@@ -29,7 +29,7 @@ SweepConfig SmallSweep(const sim::Machine& machine) {
   return config;
 }
 
-// Bitwise equality of two sweeps: throughput AND both sidecars, via memcmp so that
+// Bitwise equality of two sweeps: throughput AND every sidecar, via memcmp so that
 // "byte-identical" means exactly that (no tolerance, no NaN special-casing).
 void ExpectBitIdentical(const SweepResult& a, const SweepResult& b,
                         const std::string& label) {
@@ -40,7 +40,8 @@ void ExpectBitIdentical(const SweepResult& a, const SweepResult& b,
     const LockCurve& cb = b.curves[i];
     EXPECT_EQ(ca.name, cb.name) << label;
     for (auto field : {&LockCurve::throughput, &LockCurve::local_handover_rate,
-                       &LockCurve::transfers_per_op, &LockCurve::acquire_p99_ns}) {
+                       &LockCurve::transfers_per_op, &LockCurve::acquire_p99_ns,
+                       &LockCurve::acquire_p999_ns}) {
       const std::vector<double>& va = ca.*field;
       const std::vector<double>& vb = cb.*field;
       ASSERT_EQ(va.size(), vb.size()) << label << " curve " << ca.name;

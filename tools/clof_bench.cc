@@ -245,7 +245,7 @@ void PrintQuarantine(const select::SweepResult& result) {
 // The tail report behind --sweep --latency: per-candidate p999 under each perturbation,
 // then the p999-ascending re-ranking a deadline-bound service deploys from
 // (docs/TIMEOUT.md).
-void PrintLatencySelection(const select::LatencySelectionResult& result) {
+void PrintLatencyRanking(const select::PerturbationResult& result) {
   if (!result.note.empty()) {
     std::printf("\nnote: %s\n", result.note.c_str());
   }
@@ -282,18 +282,18 @@ void PrintLatencySelection(const select::LatencySelectionResult& result) {
   if (result.winner_changed) {
     std::printf("\nlatency winner %s (worst p999 %.1f ns) differs from throughput HC-best"
                 " %s: the throughput winner's tail degrades more under churn.\n",
-                result.latency_best.c_str(), result.latency_best_p999_ns,
+                result.best.c_str(), result.best_score,
                 result.sweep.selection.hc_best.c_str());
   } else {
     std::printf("\nlatency winner %s (worst p999 %.1f ns) confirms the throughput"
                 " HC-best.\n",
-                result.latency_best.c_str(), result.latency_best_p999_ns);
+                result.best.c_str(), result.best_score);
   }
 }
 
 // The robustness report behind --sweep --robustness: per-candidate retention and tail
 // latency under each perturbation, then the robustness-aware re-ranking.
-void PrintRobustness(const select::RobustnessResult& result) {
+void PrintRobustness(const select::PerturbationResult& result) {
   if (!result.note.empty()) {
     std::printf("\nnote: %s\n", result.note.c_str());
   }
@@ -323,16 +323,62 @@ void PrintRobustness(const select::RobustnessResult& result) {
   std::printf("%-18s%12s%17s%14s\n", "lock", "HC score", "worst retention", "robust score");
   for (const auto& lock : result.locks) {
     std::printf("%-18s%12.3f%16.1f%%%14.3f\n", lock.name.c_str(), lock.hc_score,
-                100.0 * lock.worst_retention, lock.robust_score);
+                100.0 * lock.worst_retention, lock.score);
   }
   if (result.winner_changed) {
     std::printf("\nrobust winner %s differs from ideal HC-best %s: the ideal winner does"
                 " not survive the perturbation matrix.\n",
-                result.robust_best.c_str(), result.sweep.selection.hc_best.c_str());
+                result.best.c_str(), result.sweep.selection.hc_best.c_str());
   } else {
-    std::printf("\nrobust winner %s confirms the ideal HC-best.\n",
-                result.robust_best.c_str());
+    std::printf("\nrobust winner %s confirms the ideal HC-best.\n", result.best.c_str());
   }
+}
+
+// The cache and journal summary a sweep-backed mode prints after its sweep; a null
+// cache or journal prints nothing.
+void PrintCacheAndJournal(const exec::ResultCache* cache, const exec::SweepJournal* journal) {
+  if (cache != nullptr) {
+    std::printf("cache %s: %llu hits, %llu misses, %llu stored\n", cache->dir().c_str(),
+                static_cast<unsigned long long>(cache->hits()),
+                static_cast<unsigned long long>(cache->misses()),
+                static_cast<unsigned long long>(cache->stores()));
+  }
+  if (journal != nullptr) {
+    std::printf("journal %s: %llu cell(s) served from the previous run\n",
+                journal->path().c_str(), static_cast<unsigned long long>(journal->served()));
+  }
+}
+
+// --combining (docs/COMBINING.md): ccsynch plus one hsynch per non-system level of `h`.
+// Derived per mode because --service may narrow the hierarchy first.
+combining::CombiningOptions CombiningOptionsFor(const topo::Hierarchy& h) {
+  combining::CombiningOptions options;
+  for (int i = 0; i + 1 < h.depth(); ++i) {
+    options.hsynch_levels.push_back(h.LevelName(i));
+  }
+  if (options.hsynch_levels.empty()) {  // depth-1 hierarchy: combine at that level
+    options.hsynch_levels.push_back(h.LevelName(h.depth() - 1));
+  }
+  return options;
+}
+
+// `registry` plus the combining locks and the abortable mcst compositions, in that
+// order; null when neither is asked for, so the run keeps the builtin registry and with
+// it every historical cache fingerprint.
+std::unique_ptr<Registry> AugmentedRegistry(const Registry& registry,
+                                            const topo::Hierarchy& hierarchy,
+                                            bool with_combining, bool with_timeout) {
+  if (!with_combining && !with_timeout) {
+    return nullptr;
+  }
+  Registry augmented = registry;
+  if (with_combining) {
+    augmented = combining::WithCombining(augmented, CombiningOptionsFor(hierarchy));
+  }
+  if (with_timeout) {
+    augmented = timeout::WithTimeout(augmented, {});
+  }
+  return std::make_unique<Registry>(std::move(augmented));
 }
 
 int Run(const bench::Flags& flags) {
@@ -467,29 +513,16 @@ int Run(const bench::Flags& flags) {
 
   auto hierarchy = DefaultHierarchy(machine.topology, flags.GetString("levels", ""));
 
-  // --combining (docs/COMBINING.md): enroll ccsynch and one hsynch per non-system
-  // hierarchy level next to the queue-lock compositions. Flag-gated so the default
-  // registry description — and with it every historical cache fingerprint — stays
-  // untouched. Options are derived per mode because --service may narrow the
-  // hierarchy first.
+  // --combining enrolls ccsynch and one hsynch per non-system hierarchy level next to
+  // the queue-lock compositions. Flag-gated so the default registry description — and
+  // with it every historical cache fingerprint — stays untouched.
   const bool combining_enabled = flags.GetBool("combining");
-  auto combining_options = [](const topo::Hierarchy& h) {
-    combining::CombiningOptions options;
-    for (int i = 0; i + 1 < h.depth(); ++i) {
-      options.hsynch_levels.push_back(h.LevelName(i));
-    }
-    if (options.hsynch_levels.empty()) {  // depth-1 hierarchy: combine at that level
-      options.hsynch_levels.push_back(h.LevelName(h.depth() - 1));
-    }
-    return options;
-  };
   // The sweep's default enrollment when --combining is on: every generated
   // composition of the hierarchy's depth plus the combining locks.
-  auto combining_sweep_names = [&registry](const topo::Hierarchy& h,
-                                           const combining::CombiningOptions& options) {
+  auto combining_sweep_names = [&registry](const topo::Hierarchy& h) {
     std::vector<std::string> names =
         registry.Names({.levels = h.depth(), .generated_only = true});
-    for (const auto& name : combining::CombiningLockNames(options)) {
+    for (const auto& name : combining::CombiningLockNames(CombiningOptionsFor(h))) {
       names.push_back(name);
     }
     return names;
@@ -607,13 +640,11 @@ int Run(const bench::Flags& flags) {
     config.base.spec.hierarchy = hierarchy;
     config.base.spec.registry = &registry;
     config.base.spec.seed = seed;
-    std::unique_ptr<Registry> service_registry;
-    if (combining_enabled) {
-      const auto options = combining_options(hierarchy);
-      service_registry =
-          std::make_unique<Registry>(combining::WithCombining(registry, options));
+    const std::unique_ptr<Registry> service_registry =
+        AugmentedRegistry(registry, hierarchy, combining_enabled, false);
+    if (service_registry != nullptr) {
       config.base.spec.registry = service_registry.get();
-      config.base.lock_names = combining_sweep_names(hierarchy, options);
+      config.base.lock_names = combining_sweep_names(hierarchy);
     }
     config.base.duration_ms = flags.GetDouble("duration_ms", 0.5);
     config.base.thread_counts =
@@ -677,12 +708,7 @@ int Run(const bench::Flags& flags) {
                   100.0 * (selection.calibration_per_site / selection.calibration_global -
                            1.0));
     }
-    if (cache != nullptr) {
-      std::printf("cache %s: %llu hits, %llu misses, %llu stored\n", cache->dir().c_str(),
-                  static_cast<unsigned long long>(cache->hits()),
-                  static_cast<unsigned long long>(cache->misses()),
-                  static_cast<unsigned long long>(cache->stores()));
-    }
+    PrintCacheAndJournal(cache.get(), nullptr);
     if (selection.global_winner.empty()) {
       std::fprintf(stderr, "error: no composition survived every site's sweep\n");
       return 1;
@@ -791,23 +817,16 @@ int Run(const bench::Flags& flags) {
     config.spec.registry = &registry;
     config.spec.profile = ProfileByName(flags.GetString("profile", "leveldb"));
     config.spec.seed = seed;
-    std::unique_ptr<Registry> sweep_registry;
     // --deadline / --latency enroll the abortable MCS-T compositions: their chains are
     // Kind::kGenerated at exact depth, so the default (empty) lock list picks them up
     // from the augmented registry automatically.
     const bool timeout_enrolled = deadline_ns > 0.0 || latency_candidates != 0;
-    if (combining_enabled || timeout_enrolled) {
-      Registry augmented = registry;
-      if (combining_enabled) {
-        augmented = combining::WithCombining(augmented, combining_options(hierarchy));
-      }
-      if (timeout_enrolled) {
-        augmented = timeout::WithTimeout(augmented, {});
-      }
-      sweep_registry = std::make_unique<Registry>(std::move(augmented));
+    const std::unique_ptr<Registry> sweep_registry =
+        AugmentedRegistry(registry, hierarchy, combining_enabled, timeout_enrolled);
+    if (sweep_registry != nullptr) {
       config.spec.registry = sweep_registry.get();
       if (combining_enabled) {
-        config.lock_names = combining_sweep_names(hierarchy, combining_options(hierarchy));
+        config.lock_names = combining_sweep_names(hierarchy);
         if (timeout_enrolled) {
           const auto chains = timeout::TimeoutLockNames({});
           if (hierarchy.depth() <= static_cast<int>(chains.size())) {
@@ -836,15 +855,24 @@ int Run(const bench::Flags& flags) {
                     journal_path.c_str(), journal->loaded());
       }
     }
-    if (flags.GetBool("robustness")) {
-      select::RobustnessConfig robustness;
-      robustness.sweep = config;
-      const std::string value = flags.GetString("robustness", "true");
-      if (value != "true") {
-        robustness.candidates = std::stoi(value);  // --robustness=K: top-K candidates
+    if (flags.GetBool("robustness") || latency_candidates != 0) {
+      // The two flags are mutually exclusive (validated above); each picks an objective.
+      const bool latency = latency_candidates != 0;
+      select::PerturbationConfig perturbation;
+      perturbation.sweep = config;
+      perturbation.objective =
+          latency ? select::Objective::kWorstP999 : select::Objective::kRetainedThroughput;
+      if (latency) {
+        if (latency_candidates > 0) {
+          perturbation.candidates = latency_candidates;  // --latency=K: top-K candidates
+        }
+      } else if (const std::string value = flags.GetString("robustness", "true");
+                 value != "true") {
+        perturbation.candidates = std::stoi(value);  // --robustness=K: top-K candidates
       }
-      auto result = select::RunRobustnessBenchmark(robustness);
-      std::printf("swept %zu locks; perturbed top %zu under %zu scenarios\n",
+      auto result = select::RunPerturbationRanking(perturbation);
+      std::printf(latency ? "swept %zu locks; measured top %zu under %zu scenario(s)\n"
+                          : "swept %zu locks; perturbed top %zu under %zu scenarios\n",
                   result.sweep.curves.size(), result.locks.size(),
                   result.scenarios.size());
       std::printf("HC-best %-18s (score %.3f)   LC-best %-18s (score %.3f)\n",
@@ -852,66 +880,20 @@ int Run(const bench::Flags& flags) {
                   result.sweep.selection.hc_best_score,
                   result.sweep.selection.lc_best.c_str(),
                   result.sweep.selection.lc_best_score);
-      if (cache != nullptr) {
-        std::printf("cache %s: %llu hits, %llu misses, %llu stored\n",
-                    cache->dir().c_str(), static_cast<unsigned long long>(cache->hits()),
-                    static_cast<unsigned long long>(cache->misses()),
-                    static_cast<unsigned long long>(cache->stores()));
-      }
-      if (journal != nullptr) {
-        std::printf("journal %s: %llu cell(s) served from the previous run\n",
-                    journal->path().c_str(),
-                    static_cast<unsigned long long>(journal->served()));
-      }
+      PrintCacheAndJournal(cache.get(), journal.get());
       PrintQuarantine(result.sweep);
-      PrintRobustness(result);
-      return 0;
-    }
-    if (latency_candidates != 0) {
-      select::LatencySelectionConfig latency;
-      latency.sweep = config;
-      if (latency_candidates > 0) {
-        latency.candidates = latency_candidates;  // --latency=K: top-K candidates
+      if (latency) {
+        PrintLatencyRanking(result);
+      } else {
+        PrintRobustness(result);
       }
-      auto result = select::RunLatencySelection(latency);
-      std::printf("swept %zu locks; measured top %zu under %zu scenario(s)\n",
-                  result.sweep.curves.size(), result.locks.size(),
-                  result.scenarios.size());
-      std::printf("HC-best %-18s (score %.3f)   LC-best %-18s (score %.3f)\n",
-                  result.sweep.selection.hc_best.c_str(),
-                  result.sweep.selection.hc_best_score,
-                  result.sweep.selection.lc_best.c_str(),
-                  result.sweep.selection.lc_best_score);
-      if (cache != nullptr) {
-        std::printf("cache %s: %llu hits, %llu misses, %llu stored\n",
-                    cache->dir().c_str(), static_cast<unsigned long long>(cache->hits()),
-                    static_cast<unsigned long long>(cache->misses()),
-                    static_cast<unsigned long long>(cache->stores()));
-      }
-      if (journal != nullptr) {
-        std::printf("journal %s: %llu cell(s) served from the previous run\n",
-                    journal->path().c_str(),
-                    static_cast<unsigned long long>(journal->served()));
-      }
-      PrintQuarantine(result.sweep);
-      PrintLatencySelection(result);
       return 0;
     }
     auto result = select::RunScriptedBenchmark(config);
     const size_t cells = result.curves.size() * result.thread_counts.size();
     std::printf("swept %zu locks (%zu cells, %d workers)\n", result.curves.size(), cells,
                 exec::ResolveJobs(config.jobs));
-    if (cache != nullptr) {
-      std::printf("cache %s: %llu hits, %llu misses, %llu stored\n", cache->dir().c_str(),
-                  static_cast<unsigned long long>(cache->hits()),
-                  static_cast<unsigned long long>(cache->misses()),
-                  static_cast<unsigned long long>(cache->stores()));
-    }
-    if (journal != nullptr) {
-      std::printf("journal %s: %llu cell(s) served from the previous run\n",
-                  journal->path().c_str(),
-                  static_cast<unsigned long long>(journal->served()));
-    }
+    PrintCacheAndJournal(cache.get(), journal.get());
     PrintQuarantine(result);
     // Report *why* a composition ranked where it did, not just its throughput: the
     // paper's §5 analysis ties HC-best wins to handover locality and low line traffic.
@@ -1063,19 +1045,11 @@ int Run(const bench::Flags& flags) {
   }
   ClofParams params;
   params.keep_local_threshold = static_cast<uint32_t>(flags.GetInt("H", 128));
-  std::unique_ptr<Registry> single_registry;
-  const Registry* active_registry = &registry;
-  if (combining_enabled || deadline_ns > 0.0) {
-    Registry augmented = registry;
-    if (combining_enabled) {
-      augmented = combining::WithCombining(augmented, combining_options(hierarchy));
-    }
-    if (deadline_ns > 0.0) {  // --deadline: make the abortable compositions nameable
-      augmented = timeout::WithTimeout(augmented, {});
-    }
-    single_registry = std::make_unique<Registry>(std::move(augmented));
-    active_registry = single_registry.get();
-  }
+  // --deadline makes the abortable compositions nameable.
+  const std::unique_ptr<Registry> single_registry =
+      AugmentedRegistry(registry, hierarchy, combining_enabled, deadline_ns > 0.0);
+  const Registry* active_registry =
+      single_registry != nullptr ? single_registry.get() : &registry;
   auto threads = ParseThreads(flags.GetString("threads", ""), machine.topology);
   const std::string trace_path = flags.GetString("trace", "");
   const bool want_stats = flags.GetBool("stats");
