@@ -26,7 +26,10 @@
 # must survive the sweep unquarantined and beat the best non-combining entry at the
 # saturated end. A timeout smoke stage runs the deadline-bounded service curve
 # (docs/TIMEOUT.md) with --check: the unbounded baseline must cross the latency knee
-# at top load while the deadline run sheds late requests and keeps p999 bounded.
+# at top load while the deadline run sheds late requests and keeps p999 bounded. A
+# cache smoke stage runs two sweeps at the same time into one --cache directory, so
+# both processes append to one result-cache log, then a third run that must miss
+# nothing; every output must match an uncached run apart from the cache summary line.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -89,6 +92,37 @@ timeout_smoke() {
   ./build/tools/clof_bench --service --quick --deadline=2000 --check
 }
 
+cache_smoke() {
+  # Cross-process appends to one result-cache log (docs/PARALLEL_SWEEP.md): two
+  # concurrent cold sweeps share a --cache dir, a third is served entirely from it,
+  # and all three print the uncached run's bytes except the `cache DIR: ...` line.
+  local tmp status=0
+  tmp="$(mktemp -d)" || return 1
+  local sweep=(./build/tools/clof_bench --sweep --machine=arm --levels=numa,system
+               --threads=1,4,16 --duration_ms=0.2 --jobs=2)
+  "${sweep[@]}" > "${tmp}/plain.txt" || status=1
+  "${sweep[@]}" --cache="${tmp}/cache" > "${tmp}/first.txt" &
+  local first=$!
+  "${sweep[@]}" --cache="${tmp}/cache" > "${tmp}/second.txt" &
+  local second=$!
+  wait "${first}" || status=1
+  wait "${second}" || status=1
+  "${sweep[@]}" --cache="${tmp}/cache" > "${tmp}/third.txt" || status=1
+  if ! grep -q "^cache .*: [0-9]* hits, 0 misses, 0 stored$" "${tmp}/third.txt"; then
+    echo "cache smoke: the third run missed: $(grep '^cache ' "${tmp}/third.txt")" >&2
+    status=1
+  fi
+  for run in first second third; do
+    if ! diff <(grep -v '^cache ' "${tmp}/plain.txt") \
+              <(grep -v '^cache ' "${tmp}/${run}.txt") > /dev/null; then
+      echo "cache smoke: the ${run} cached run differs from the uncached run" >&2
+      status=1
+    fi
+  done
+  rm -rf "${tmp}"
+  return "${status}"
+}
+
 perf_stage() {
   # Both scenarios: the historical fig9-style hot path and the 1024-CPU scale scenario.
   scripts/bench_wallclock.sh "check_all" || return $?
@@ -137,6 +171,7 @@ run_stage "adaptive smoke" adaptive_smoke
 run_stage "service smoke" service_smoke
 run_stage "combining smoke" combining_smoke
 run_stage "timeout smoke" timeout_smoke
+run_stage "cache smoke" cache_smoke
 run_stage "asan+ubsan" scripts/check_sanitized.sh
 run_stage "tsan" scripts/check_tsan.sh
 if [[ "${perf}" -eq 1 ]]; then

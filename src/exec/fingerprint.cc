@@ -30,14 +30,16 @@ void Fingerprint::Add(std::string_view key, double value) {
   Add(key, std::string_view(buffer));
 }
 
-uint64_t Fingerprint::Hash() const {
-  uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a 64 offset basis
-  for (unsigned char c : text_) {
+uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t hash = 0xcbf29ce484222325ull;  // offset basis
+  for (unsigned char c : bytes) {
     hash ^= c;
     hash *= 0x100000001b3ull;
   }
   return hash;
 }
+
+uint64_t Fingerprint::Hash() const { return Fnv1a(text_); }
 
 std::string Fingerprint::HashHex() const {
   char buffer[17];

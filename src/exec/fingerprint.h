@@ -32,6 +32,9 @@ namespace clof::exec {
 // sidecars (p99/p999 acquire latency, starved threads).
 inline constexpr int kCellSchemaVersion = 2;
 
+// FNV-1a 64 over `bytes`: the fingerprint hash, and the result cache's header checksum.
+uint64_t Fnv1a(std::string_view bytes);
+
 class Fingerprint {
  public:
   void Add(std::string_view key, std::string_view value);

@@ -1,11 +1,7 @@
 #include "src/exec/sweep_journal.h"
 
+#include <algorithm>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
-#include <thread>
 
 namespace clof::exec {
 namespace {
@@ -84,26 +80,15 @@ bool NextToken(const std::string& payload, size_t* pos, std::string* token) {
 
 }  // namespace
 
-SweepJournal::SweepJournal(std::string path) : path_(std::move(path)) {
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) {
-    // New journal: persist just the header so a later crash-before-first-record still
-    // leaves a well-formed file.
-    std::lock_guard<std::mutex> lock(mutex_);
-    Persist();
-    std::ifstream check(path_, std::ios::binary);
-    if (!check) {
-      throw std::runtime_error("SweepJournal: cannot create " + path_);
-    }
-    return;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
+SweepJournal::SweepJournal(std::string path) : path_(std::move(path)), file_(path_) {
+  std::string content;
+  file_.ReadAt(0, static_cast<size_t>(std::max<int64_t>(file_.Size(), 0)), &content);
 
   // Walk complete ('\n'-terminated) lines only: a torn final append has no newline
-  // and is discarded, as is everything after the first malformed record.
+  // and is discarded, as is everything after the first malformed record. `intact`
+  // ends the valid prefix: the header and every record loaded so far.
   size_t pos = 0;
+  size_t intact = 0;
   bool first = true;
   while (pos < content.size()) {
     const size_t newline = content.find('\n', pos);
@@ -115,8 +100,9 @@ SweepJournal::SweepJournal(std::string path) : path_(std::move(path)) {
     if (first) {
       first = false;
       if (line != kHeader) {
-        break;  // foreign or corrupt file: treat as empty, rewrite on first Record
+        break;  // foreign or corrupt file: treat as empty
       }
+      intact = pos;
       continue;
     }
     // "<len> <payload>" with len the exact payload byte count: any prefix truncation
@@ -177,9 +163,18 @@ SweepJournal::SweepJournal(std::string path) : path_(std::move(path)) {
     } else {
       break;
     }
-    lines_.push_back(line);
     entries_[hash] = std::move(entry);
     ++loaded_;
+    intact = pos;
+  }
+  // Cut a torn or corrupt tail once, so later appends extend the valid prefix instead
+  // of hiding behind bytes no load gets past; a new, empty or foreign file restarts as
+  // just the header. Like every journal write, best-effort.
+  if (intact == 0) {
+    file_.Truncate(0);
+    file_.Append(std::string(kHeader) + '\n');
+  } else if (intact < content.size()) {
+    file_.Truncate(intact);
   }
 }
 
@@ -215,40 +210,13 @@ void SweepJournal::Record(const Fingerprint& fp, const std::string& lock_name,
     payload = "fail " + hash + " " + lock_name + " " + std::to_string(num_threads) +
               " " + f.kind + " " + Escape(f.message) + "\t" + Escape(f.diagnostic);
   }
-  lines_.push_back(std::to_string(payload.size()) + " " + payload);
+  // One append per record; like the cache, persistence is best-effort, never a failure.
+  file_.Append(std::to_string(payload.size()) + " " + payload + "\n");
   Entry entry;
   entry.lock_name = lock_name;
   entry.num_threads = num_threads;
   entry.outcome = outcome;
   entries_[hash] = std::move(entry);
-  Persist();
-}
-
-void SweepJournal::Persist() {
-  std::ostringstream tmp_name;
-  tmp_name << path_ << ".tmp." << std::this_thread::get_id();
-  const std::string tmp = tmp_name.str();
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return;  // like the cache: persistence is best-effort, never a failure
-    }
-    out << kHeader << '\n';
-    for (const std::string& line : lines_) {
-      out << line << '\n';
-    }
-    if (!out.good()) {
-      out.close();
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path_, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-  }
 }
 
 }  // namespace clof::exec

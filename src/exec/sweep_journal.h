@@ -2,13 +2,17 @@
 // record the resilient sweep produces (docs/PARALLEL_SWEEP.md).
 //
 // A sweep with a journal attached appends one record per finished cell — success
-// payload or CellFailure — keyed by the cell's fingerprint hash. Every append rewrites
-// the whole file through a temp + rename, so the journal on disk is always a valid
-// prefix of the run: killing the sweep at any instant loses at most the in-flight
-// cells. A re-run with the same journal serves the recorded cells without simulating
-// and recomputes only the missing ones; because every cell is a pure function of its
+// payload or CellFailure — keyed by the cell's fingerprint hash. Each record is one
+// write() to a descriptor opened once with O_APPEND (AppendFile, shared with the
+// result cache), so killing the sweep at any instant loses at most the in-flight
+// records and leaves at worst one torn line at the end. Opening a journal loads its
+// valid prefix and cuts whatever follows it — a torn or corrupt tail, or a whole
+// foreign file — once, so the resumed run's appends are never hidden behind it. A
+// re-run with the same journal serves the recorded cells without simulating and
+// recomputes only the missing ones; because every cell is a pure function of its
 // fingerprint, the resumed sweep's final output is byte-identical to an uninterrupted
-// run (tests/journal_test.cc memcmps it, sidecars included).
+// run (tests/journal_test.cc memcmps it, sidecars included). No fsync: the journal
+// survives a killed process, not a lost kernel.
 //
 // Difference from ResultCache: the cache is content-addressed, shared and
 // success-only; the journal belongs to one logical run, lives in one file the user
@@ -33,7 +37,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "src/exec/fingerprint.h"
 #include "src/exec/result_cache.h"
@@ -64,8 +67,8 @@ struct CellOutcome {
 class SweepJournal {
  public:
   // Opens `path`, creating it (with a header) if absent, and loads every intact
-  // record; a torn or corrupt tail is discarded (those cells simply re-run). Throws
-  // std::runtime_error when the path cannot be created or read.
+  // record; a torn or corrupt tail is cut from the file (those cells simply re-run).
+  // Throws std::runtime_error when the path can be neither created nor read.
   explicit SweepJournal(std::string path);
 
   const std::string& path() const { return path_; }
@@ -78,8 +81,8 @@ class SweepJournal {
   std::optional<CellOutcome> Lookup(const Fingerprint& fp, const std::string& lock_name,
                                     int num_threads);
 
-  // Appends the outcome of a finished cell and persists the whole journal via
-  // temp + rename. Safe to call from concurrent executor workers.
+  // Appends the outcome of a finished cell as one record. Safe to call from
+  // concurrent executor workers.
   void Record(const Fingerprint& fp, const std::string& lock_name, int num_threads,
               const CellOutcome& outcome);
 
@@ -90,11 +93,9 @@ class SweepJournal {
     CellOutcome outcome;
   };
 
-  void Persist();  // caller holds mutex_
-
   std::mutex mutex_;
   std::string path_;
-  std::vector<std::string> lines_;  // record lines (header excluded), append order
+  AppendFile file_;
   std::unordered_map<std::string, Entry> entries_;  // hash16 -> outcome
   size_t loaded_ = 0;
   std::atomic<uint64_t> served_{0};

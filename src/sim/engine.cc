@@ -116,6 +116,35 @@ void Engine::Run() {
   for (auto& thread : threads_) {
     MakeReady(thread.get());
   }
+  RunReady();
+  // Deadlock: every remaining thread is parked on a line nothing will write again.
+  // Record the diagnostic and the count first, then unwind the parked fibers the way a
+  // watchdog trip does, so their stacks (lock contexts included) are released.
+  const int deadlocked = unfinished_;
+  EngineDiagnostic deadlock;
+  if (deadlocked > 0) {
+    deadlock = CaptureDiagnostic("deadlock");
+    AbortParkedThreads();
+    RunReady();
+  }
+  current_engine_ = previous;
+  running_ = false;
+  if (watchdog_ != nullptr && watchdog_->tripped) {
+    watchdog_->tripped = false;
+    EngineDiagnostic diagnostic = std::move(watchdog_->diagnostic);
+    // Build the summary before std::move(diagnostic) can gut `reason` (argument
+    // evaluation order is unspecified).
+    std::string summary = "simulation watchdog tripped: " + diagnostic.reason;
+    throw SimWatchdogError(summary, std::move(diagnostic));
+  }
+  if (deadlocked > 0) {
+    throw SimDeadlockError("simulation deadlock: " + std::to_string(deadlocked) +
+                               " thread(s) parked forever",
+                           std::move(deadlock));
+  }
+}
+
+void Engine::RunReady() {
   // Reschedules hand off fiber-to-fiber without bouncing through here (HandOff,
   // ParkOnLine); control returns to this loop only when the running thread finishes
   // (its fiber's parent is the main fiber) or parks with nothing left runnable. Either
@@ -129,21 +158,6 @@ void Engine::Run() {
     if (last->done && last->fiber->finished()) {
       --unfinished_;
     }
-  }
-  current_engine_ = previous;
-  running_ = false;
-  if (watchdog_ != nullptr && watchdog_->tripped) {
-    watchdog_->tripped = false;
-    EngineDiagnostic diagnostic = std::move(watchdog_->diagnostic);
-    // Build the summary before std::move(diagnostic) can gut `reason` (argument
-    // evaluation order is unspecified).
-    std::string summary = "simulation watchdog tripped: " + diagnostic.reason;
-    throw SimWatchdogError(summary, std::move(diagnostic));
-  }
-  if (unfinished_ > 0) {
-    throw SimDeadlockError("simulation deadlock: " + std::to_string(unfinished_) +
-                               " thread(s) parked forever",
-                           CaptureDiagnostic("deadlock"));
   }
 }
 
@@ -220,9 +234,15 @@ void Engine::WatchdogTrip(std::string reason) {
   WatchdogState& w = *watchdog_;
   w.tripped = true;
   w.diagnostic = CaptureDiagnostic(reason.c_str());
+  AbortParkedThreads();
+  throw AbortSimulation{};
+}
+
+void Engine::AbortParkedThreads() {
   aborting_ = true;
-  // Force-wake every parked thread so each unwinds via AbortSimulation on its next
-  // access probe, and clear the intrusive waiter lists so no stale links survive.
+  // Force-wake every parked thread so each unwinds via AbortSimulation as soon as it
+  // returns from its park, and clear the intrusive waiter lists so no stale links
+  // survive.
   for (uint32_t i = 0; i < num_lines_; ++i) {
     LineHot& hot = HotAt(i);
     hot.waiter_head = nullptr;
@@ -239,7 +259,6 @@ void Engine::WatchdogTrip(std::string reason) {
       MakeReady(t);
     }
   }
-  throw AbortSimulation{};
 }
 
 EngineDiagnostic Engine::CaptureDiagnostic(const char* reason) {
@@ -414,7 +433,7 @@ void Engine::WakeWaiters(LineHot& hot, const PreparedAccess& prepared) {
   }
 }
 
-void Engine::ParkOnLine(uintptr_t line_addr, uint64_t seen_version, bool rmw_spinner) {
+void Engine::Park(uintptr_t line_addr, uint64_t seen_version, bool rmw_spinner) {
   if (aborting_) {
     throw AbortSimulation{};  // never re-park while a watchdog trip is draining
   }
@@ -445,6 +464,8 @@ void Engine::ParkOnLine(uintptr_t line_addr, uint64_t seen_version, bool rmw_spi
   current_ = next;
   runtime::Fiber::Switch(*self->fiber, *next->fiber);
 }
+
+void Engine::ThrowAbort() { throw AbortSimulation{}; }
 
 void Engine::HeapSiftUp(size_t slot) {
   const ReadyEntry moving = heap_[slot];

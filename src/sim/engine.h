@@ -185,7 +185,12 @@ class Engine {
   // Parks the running thread until a value-changing write moves the line's version past
   // `seen_version`. Returns immediately if it already moved (no lost wakeups).
   // `rmw_spinner` marks CTR-style spinning, which feeds the Arm LL/SC penalty model.
-  void ParkOnLine(uintptr_t line_addr, uint64_t seen_version, bool rmw_spinner);
+  void ParkOnLine(uintptr_t line_addr, uint64_t seen_version, bool rmw_spinner) {
+    Park(line_addr, seen_version, rmw_spinner);
+    if (aborting_) {
+      ThrowAbort();  // woken by AbortParkedThreads: unwind without another access
+    }
+  }
 
   // --- Introspection / statistics ---
   const topo::Topology& topology() const { return *topology_; }
@@ -440,7 +445,8 @@ class Engine {
   // info past it — so WatchdogTrip captures the diagnostic, force-wakes every parked
   // thread, and throws the internal AbortSimulation token; each fiber's Spawn wrapper
   // catches the token on its own stack and finishes normally, and Run() rethrows the
-  // real SimWatchdogError from the scheduler context once every fiber has drained.
+  // real SimWatchdogError from the scheduler context once every fiber has drained. A
+  // deadlock drains the same way, from Run(), after its diagnostic is captured.
   struct WatchdogState {
     WatchdogConfig config;
     uint64_t accesses_since_progress = 0;
@@ -457,6 +463,14 @@ class Engine {
   void WatchdogObserve(const PreparedAccess& prepared);   // per access, watchdog on
   void WatchdogWorkCheck(SimThread* self);                // per Work(), watchdog on
   [[noreturn]] void WatchdogTrip(std::string reason);
+  // Sets aborting_ and makes every parked thread ready; each then throws
+  // AbortSimulation as soon as it returns from its park, without another access.
+  void AbortParkedThreads();
+  // ParkOnLine's body. Out of line and ending in a tail call to the fiber switch, so a
+  // resumed thread returns straight into the inlined abort check in its spin loop.
+  void Park(uintptr_t line_addr, uint64_t seen_version, bool rmw_spinner);
+  [[noreturn]] static void ThrowAbort();
+  void RunReady();  // the scheduler loop: runs fibers until nothing is ready
   EngineDiagnostic CaptureDiagnostic(const char* reason);
   // Arena index of a line without creating it (kNoLine if never touched). The index is
   // the line's first-touch ordinal, so diagnostics label lines with it: ordinals follow
@@ -486,7 +500,7 @@ class Engine {
   trace::EventSink* sink_ = nullptr;
   FaultHook* fault_hook_ = nullptr;
   std::unique_ptr<WatchdogState> watchdog_;  // null = no watchdog (fast path)
-  bool aborting_ = false;  // a watchdog trip is unwinding the remaining fibers
+  bool aborting_ = false;  // a watchdog trip or deadlock is unwinding the fibers
   int unfinished_ = 0;
   bool running_ = false;
 };

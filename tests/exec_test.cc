@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -356,6 +357,45 @@ TEST(ResultCacheTest, ValuesSurviveExactly) {
   EXPECT_EQ(*hit, value);  // operator== — bitwise-equal doubles, not near-equal
 }
 
+// --- Helpers for the on-disk log (layout in src/exec/result_cache.h) ---
+
+std::string LogPath(const std::string& dir) { return dir + "/cells.log"; }
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const std::string& content,
+               std::ios::openmode mode = std::ios::trunc) {
+  std::ofstream out(path, std::ios::binary | mode);
+  out << content;
+}
+
+// A well-formed log record built by hand, so a test can forge records the cache itself
+// never writes: a header whose checksum is FNV-1a 64 over the text before it, then the
+// transcript (which must hash to `hash16` for a scan to accept the record).
+std::string ForgedRecord(const std::string& hash16, double throughput,
+                         const std::string& transcript) {
+  std::string prefix =
+      "clof-cell-cache v" + std::to_string(kCellSchemaVersion) + " " + hash16;
+  prefix += " " + HexDouble(throughput);
+  for (int i = 0; i < 5; ++i) {
+    prefix += " " + HexDouble(0.0);
+  }
+  prefix += " " + std::to_string(transcript.size());
+  char sum[17];
+  std::snprintf(sum, sizeof(sum), "%016llx",
+                static_cast<unsigned long long>(Fnv1a(prefix)));
+  return prefix + " " + sum + "\n" + transcript;
+}
+
+void ExpectHit(ResultCache& cache, const Fingerprint& fp, const CellResult& want) {
+  auto hit = cache.Lookup(fp);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(*hit, want);
+}
+
 TEST(ResultCacheTest, CorruptedEntryDegradesToMissAndRecovers) {
   std::string dir = CacheDir("corrupt");
   ResultCache cache(dir);
@@ -363,41 +403,53 @@ TEST(ResultCacheTest, CorruptedEntryDegradesToMissAndRecovers) {
   cache.Store(fp, CellResult{2.0, 0.5, 1.0});
   ASSERT_TRUE(cache.Lookup(fp).has_value());
 
-  // Clobber the entry with garbage: lookup must miss, not crash or misparse.
-  std::string path = dir + "/" + fp.HashHex() + ".cell";
-  { std::ofstream(path) << "not a cache entry"; }
+  // Flip a transcript byte of the record: the pread re-verification misses, and so does
+  // a fresh instance, whose scan rejects the record's checksum.
+  const std::string log = LogPath(dir);
+  std::string bytes = ReadFile(log);
+  bytes[bytes.size() - 2] ^= 0x20;
+  WriteFile(log, bytes);
   EXPECT_FALSE(cache.Lookup(fp).has_value());
+  EXPECT_FALSE(ResultCache(dir).Lookup(fp).has_value());
 
-  // Truncated entry (partial write without the tmp+rename protection).
-  { std::ofstream(path) << "clof-cell-cache v1 "; }
-  EXPECT_FALSE(cache.Lookup(fp).has_value());
-
-  // A store overwrites the corrupt entry and the cache recovers.
+  // A store appends a record that supersedes the damaged one, and the cache recovers.
   CellResult fresh{3.0, 0.25, 0.5};
   cache.Store(fp, fresh);
-  auto hit = cache.Lookup(fp);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, fresh);
+  ExpectHit(cache, fp, fresh);
+  ResultCache reopened(dir);
+  ExpectHit(reopened, fp, fresh);
+
+  // Truncate the log mid-record (a partial write): both instances miss again...
+  bytes = ReadFile(log);
+  WriteFile(log, bytes.substr(0, bytes.size() - 5));
+  EXPECT_FALSE(cache.Lookup(fp).has_value());
+  EXPECT_FALSE(ResultCache(dir).Lookup(fp).has_value());
+
+  // ... until the next store, appended behind the torn bytes.
+  cache.Store(fp, fresh);
+  ExpectHit(cache, fp, fresh);
+  ExpectHit(reopened, fp, fresh);
 }
 
 TEST(ResultCacheTest, TranscriptMismatchUnderSameAddressMisses) {
-  // Simulate a hash collision: an entry stored at fp's address whose transcript is for
-  // a different configuration must be treated as a miss.
+  // A well-formed record that carries fp's hash over another fingerprint's transcript
+  // must never answer for fp. (Its transcript does not hash to its address, so a scan
+  // drops it; a true FNV collision would pass that check and fail Lookup's byte-for-byte
+  // compare, which CorruptedEntryDegradesToMissAndRecovers exercises.)
   std::string dir = CacheDir("collision");
   ResultCache cache(dir);
   Fingerprint fp = TestFp(0);
   Fingerprint other = TestFp(1);
-  cache.Store(fp, CellResult{1.0, 0.0, 0.0});
-  std::string fp_path = dir + "/" + fp.HashHex() + ".cell";
-  std::string other_path = dir + "/" + other.HashHex() + ".cell";
-  cache.Store(other, CellResult{9.0, 0.0, 0.0});
-  // Copy other's entry over fp's address: address says fp, transcript says other.
-  {
-    std::ifstream in(other_path, std::ios::binary);
-    std::ofstream out(fp_path, std::ios::binary);
-    out << in.rdbuf();
-  }
+  ASSERT_EQ(fp.text().size(), other.text().size());  // only the bytes differ
+  cache.Store(other, CellResult{1.0, 0.0, 0.0});
+  WriteFile(LogPath(dir), ForgedRecord(fp.HashHex(), 9.0, other.text()), std::ios::app);
   EXPECT_FALSE(cache.Lookup(fp).has_value());
+  EXPECT_FALSE(ResultCache(dir).Lookup(fp).has_value());
+
+  // Control: the same forgery over fp's own transcript is served, so the misses above
+  // came from the transcript check, not from a malformed record.
+  WriteFile(LogPath(dir), ForgedRecord(fp.HashHex(), 9.0, fp.text()), std::ios::app);
+  ExpectHit(cache, fp, CellResult{9.0, 0.0, 0.0});
 }
 
 TEST(ResultCacheTest, PersistsAcrossInstances) {
@@ -414,27 +466,160 @@ TEST(ResultCacheTest, PersistsAcrossInstances) {
   EXPECT_EQ(*hit, value);
 }
 
-TEST(ResultCacheTest, SweepsOrphanedTempFilesOnOpen) {
-  // A writer killed between temp-write and rename leaves `<name>.tmp.<id>` behind;
-  // opening the cache must sweep them while leaving real entries alone.
-  std::string dir = CacheDir("tmpsweep");
-  Fingerprint fp = TestFp();
-  CellResult value{4.0, 0.5, 0.25};
+TEST(ResultCacheTest, TornTailIsIgnoredAndLaterAppendsAreServed) {
+  // A writer killed mid-record leaves a torn tail. Opening the cache ignores it, and a
+  // record a new instance appends behind it is served — by that instance and the next.
+  std::string dir = CacheDir("torn");
+  Fingerprint kept = TestFp(0), torn = TestFp(1), late = TestFp(2);
+  CellResult kept_value{4.0, 0.5, 0.25}, late_value{6.0, 0.0, 1.0};
   {
     ResultCache writer(dir);
-    writer.Store(fp, value);
+    writer.Store(kept, kept_value);
+    writer.Store(torn, CellResult{5.0, 0.0, 0.0});
   }
-  const std::string orphan_a = dir + "/" + fp.HashHex() + ".cell.tmp.140235";
-  const std::string orphan_b = dir + "/deadbeef.cell.tmp.9";
-  { std::ofstream(orphan_a) << "half-written"; }
-  { std::ofstream(orphan_b) << ""; }
+  const std::string bytes = ReadFile(LogPath(dir));
+  WriteFile(LogPath(dir), bytes.substr(0, bytes.size() - 4));  // cut mid-transcript
 
   ResultCache reopened(dir);
-  EXPECT_FALSE(std::filesystem::exists(orphan_a));
-  EXPECT_FALSE(std::filesystem::exists(orphan_b));
-  auto hit = reopened.Lookup(fp);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, value);
+  ExpectHit(reopened, kept, kept_value);
+  EXPECT_FALSE(reopened.Lookup(torn).has_value());
+  reopened.Store(late, late_value);
+  ExpectHit(reopened, late, late_value);
+
+  ResultCache next(dir);
+  ExpectHit(next, kept, kept_value);
+  ExpectHit(next, late, late_value);
+  EXPECT_FALSE(next.Lookup(torn).has_value());
+}
+
+TEST(ResultCacheTest, TwoInstancesOpenedEmptySeeEachOthersStores) {
+  // Both open the directory before either stores: each store must reach the other
+  // through its index catch-up, as it would for two processes.
+  std::string dir = CacheDir("shared");
+  ResultCache a(dir);
+  ResultCache b(dir);
+  CellResult from_a{1.5, 0.0, 0.0}, from_b{2.5, 0.0, 0.0};
+  a.Store(TestFp(0), from_a);
+  ExpectHit(b, TestFp(0), from_a);
+  b.Store(TestFp(1), from_b);
+  ExpectHit(a, TestFp(1), from_b);
+  ExpectHit(b, TestFp(1), from_b);
+  EXPECT_EQ(a.misses() + b.misses(), 0u);
+}
+
+TEST(ResultCacheTest, OlderPerCellFilesReadAsCold) {
+  // The one-file-per-cell layout (`<hash>.cell`, `*.tmp.*`) is neither read nor swept.
+  std::string dir = CacheDir("older-layout");
+  std::filesystem::create_directories(dir);
+  Fingerprint fp = TestFp();
+  const std::string cell = dir + "/" + fp.HashHex() + ".cell";
+  const std::string tmp = cell + ".tmp.140235";
+  WriteFile(cell, ForgedRecord(fp.HashHex(), 1.0, fp.text()));
+  WriteFile(tmp, "half-written");
+  ResultCache cache(dir);
+  EXPECT_FALSE(cache.Lookup(fp).has_value());
+  EXPECT_TRUE(std::filesystem::exists(cell));
+  EXPECT_TRUE(std::filesystem::exists(tmp));
+}
+
+TEST(ResultCacheTest, LogsLargerThanOneReadChunkResynchronise) {
+  // The open-time scan reads in bounded chunks. A damaged record whose transcript is
+  // longer than a chunk makes the resync search cross chunk boundaries; every record
+  // behind it must still be found.
+  std::string dir = CacheDir("chunks");
+  auto big = [](int i, size_t bytes) {
+    Fingerprint fp;
+    fp.Add("cell", i);
+    fp.Add("payload", std::string(bytes, static_cast<char>('a' + i % 26)));
+    return fp;
+  };
+  constexpr int kRecords = 120;
+  {
+    ResultCache writer(dir);
+    for (int i = 0; i < kRecords; ++i) {
+      writer.Store(big(i, i == 40 ? 150'000 : 2'000), CellResult{1.0 * i, 0.0, 0.0});
+    }
+  }
+  std::string bytes = ReadFile(LogPath(dir));
+  ASSERT_GT(bytes.size(), size_t{4} << 16);
+  const std::string magic = "clof-cell-cache v";
+  size_t record40 = 0;
+  for (int i = 0; i < 40; ++i) {
+    record40 = bytes.find(magic, record40 + 1);
+  }
+  ASSERT_NE(record40, std::string::npos);
+  bytes[record40] = 'X';  // damage record 40's header
+  WriteFile(LogPath(dir), bytes);
+
+  ResultCache reopened(dir);
+  for (int i = 0; i < kRecords; ++i) {
+    auto hit = reopened.Lookup(big(i, i == 40 ? 150'000 : 2'000));
+    if (i == 40) {
+      EXPECT_FALSE(hit.has_value());
+    } else {
+      ASSERT_TRUE(hit.has_value()) << "record " << i;
+      EXPECT_EQ(hit->throughput_per_us, 1.0 * i);
+    }
+  }
+}
+
+TEST(ResultCacheTest, TruncatedOrBitFlippedLogsServeExactValuesOrMiss) {
+  // Adversarial input for the log parser: a 3-record log cut at every byte offset and
+  // hit by a fixed set of seeded single-byte flips. Every Lookup returns the stored
+  // value exactly or misses; a record untouched by the damage is always served.
+  const std::string source = CacheDir("adversarial-source");
+  std::vector<Fingerprint> fps(3);
+  const std::vector<CellResult> values = {{0.1 + 0.2, 1.0 / 3.0, -0.0, 5e-324, 1e308, 3.0},
+                                          {12.5, 0.75, 1.0625, 0.0, 0.0, 0.0},
+                                          {-7.25, 0.5, 2.0, 880.5, 1e-300, 1.0}};
+  {
+    ResultCache writer(source);
+    for (int i = 0; i < 3; ++i) {
+      fps[i].Add("cell", i);
+      fps[i].Add("payload", std::string(30 + 25 * i, static_cast<char>('k' + i)));
+      writer.Store(fps[i], values[i]);
+    }
+  }
+  const std::string log = ReadFile(LogPath(source));
+  std::vector<size_t> starts = {0};
+  for (int i = 1; i < 3; ++i) {
+    starts.push_back(log.find("clof-cell-cache v", starts.back() + 1));
+  }
+  const std::vector<size_t> ends = {starts[1], starts[2], log.size()};
+
+  const std::string probe = CacheDir("adversarial-probe");
+  std::filesystem::create_directories(probe);
+  auto check = [&](const std::string& bytes, const std::string& what, auto untouched) {
+    WriteFile(LogPath(probe), bytes);
+    ResultCache cache(probe);
+    for (int i = 0; i < 3; ++i) {
+      auto hit = cache.Lookup(fps[i]);
+      if (hit.has_value()) {
+        EXPECT_EQ(*hit, values[i]) << what << ": record " << i;
+      } else {
+        EXPECT_FALSE(untouched(i)) << what << ": lost undamaged record " << i;
+      }
+    }
+  };
+  for (size_t cut = 0; cut <= log.size(); ++cut) {
+    check(log.substr(0, cut), "cut at " + std::to_string(cut),
+          [&](int i) { return ends[i] <= cut; });
+  }
+  uint64_t state = 0x5eed5eed5eedULL;  // splitmix64: a fixed, seeded flip set
+  auto next = [&state] {
+    uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  };
+  for (int flip = 0; flip < 400; ++flip) {
+    const size_t at = next() % log.size();
+    const auto mask = static_cast<char>(1 + next() % 255);
+    std::string bytes = log;
+    bytes[at] = static_cast<char>(bytes[at] ^ mask);
+    check(bytes, "flip at " + std::to_string(at),
+          [&](int i) { return at < starts[i] || at >= ends[i]; });
+  }
 }
 
 TEST(HexDoubleCodecTest, RoundTripsExactlyAndRejectsGarbage) {

@@ -242,6 +242,7 @@ TEST(SweepJournalTest, ResumeIsByteIdenticalAcrossTruncationsAndJobs) {
     }
   }
   ASSERT_GE(newlines.size(), 3u);  // header + >= 2 records
+  const size_t cells = config.lock_names.size() * config.thread_counts.size();
 
   // Interrupt the run at three different points: after a record boundary, mid-record
   // (torn append, no newline), and mid-record with a corrupt-but-terminated line.
@@ -263,6 +264,9 @@ TEST(SweepJournalTest, ResumeIsByteIdenticalAcrossTruncationsAndJobs) {
       EXPECT_EQ(Serialize(RunScriptedBenchmark(resumed)), baseline)
           << tag << " jobs=" << jobs;
       EXPECT_EQ(journal.served(), 2u) << tag;  // recovered cells were not recomputed
+      // The resumed run's appends follow the intact prefix (the damaged tail was cut
+      // at open), so reopening the journal loads every cell.
+      EXPECT_EQ(exec::SweepJournal(path).loaded(), cells) << tag << " jobs=" << jobs;
     }
   }
 }

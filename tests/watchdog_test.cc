@@ -66,6 +66,36 @@ TEST(WatchdogTest, DeadlockDiagnosticNamesTheBlockedLine) {
   }
 }
 
+TEST(WatchdogTest, DeadlockUnwindsParkedFibersWithoutAnotherAccess) {
+  // A deadlocked run must not leak what its parked fibers own (a lock context, say):
+  // Run() unwinds every parked stack before it throws, and the drain issues no
+  // simulated access, so the diagnostic still describes the final state.
+  struct Sentinel {
+    int* unwound;
+    ~Sentinel() { ++*unwound; }
+  };
+  Machine m = Machine::PaperX86();
+  Engine engine(m.topology, m.platform);
+  auto flag = std::make_unique<PaddedAtomic>();
+  int unwound = 0;
+  for (int t = 0; t < 3; ++t) {
+    engine.Spawn(t, [&] {
+      Sentinel sentinel{&unwound};
+      mem::SimMemory::SpinUntil(flag->value, [](uint64_t v) { return v == 1; });
+    });
+  }
+  uint64_t accesses_at_deadlock = 0;
+  try {
+    engine.Run();
+    FAIL() << "expected SimDeadlockError";
+  } catch (const SimDeadlockError& error) {
+    EXPECT_EQ(error.summary(), "simulation deadlock: 3 thread(s) parked forever");
+    accesses_at_deadlock = error.diagnostic().total_accesses;
+  }
+  EXPECT_EQ(unwound, 3);
+  EXPECT_EQ(engine.total_accesses(), accesses_at_deadlock);
+}
+
 TEST(WatchdogTest, VirtualTimeBudgetTrips) {
   Machine m = Machine::PaperX86();
   Engine engine(m.topology, m.platform);
