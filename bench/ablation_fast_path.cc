@@ -8,7 +8,7 @@
 
 int main(int argc, char** argv) {
   using namespace clof;
-  bench::Flags flags(argc, argv);
+  bench::Flags flags(argc, argv, {"duration_ms", "quick"});
   auto machine = sim::Machine::PaperArm();
   auto h4 = topo::Hierarchy::Select(machine.topology,
                                     {"cache", "numa", "package", "system"});

@@ -24,9 +24,9 @@ namespace {
 
 using namespace clof;
 
-std::vector<int> ParseThreads(const std::string& text, const topo::Topology& topology,
+std::vector<int> ParseThreads(const bench::Flags& flags, const topo::Topology& topology,
                               bool quick) {
-  if (text.empty()) {
+  if (!flags.Has("threads")) {
     std::vector<int> full = harness::PaperThreadCounts(topology);
     if (!quick || full.size() <= 5) {
       return full;
@@ -36,36 +36,25 @@ std::vector<int> ParseThreads(const std::string& text, const topo::Topology& top
     return {full.front(), full[full.size() / 3], full[(2 * full.size()) / 3],
             full.back()};
   }
-  std::vector<int> out;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = text.size();
-    }
-    out.push_back(std::stoi(text.substr(pos, comma - pos)));
-    pos = comma + 1;
-  }
-  return out;
+  return flags.GetList<int>("threads");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Flags flags(argc, argv);
+  bench::Flags flags(argc, argv,
+                     {"machine", "threads", "duration_ms", "seed", "jobs", "lc", "hc", "quick"});
   const bool quick = flags.GetBool("quick");
   // Quick mode trims ramp points, not cell duration: cells shorter than ~1ms make
   // the envelope check measure the detector's one-window pre-switch transient
   // instead of the tracking (at 127 threads the transient alone costs ~10%).
   const double duration = flags.GetDouble("duration_ms", 1.0);
   const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  sim::Machine machine = flags.GetString("machine", "arm") == "x86"
-                             ? sim::Machine::PaperX86()
-                             : sim::Machine::PaperArm();
+  const sim::Machine machine = bench::ParseMachine(flags);
   auto hierarchy =
       topo::Hierarchy::Select(machine.topology, {"cache", "numa", "system"});
   const Registry& registry = SimRegistry(machine.platform.arch == sim::Arch::kX86);
-  auto threads = ParseThreads(flags.GetString("threads", ""), machine.topology, quick);
+  auto threads = ParseThreads(flags, machine.topology, quick);
 
   adaptive::AdaptiveOptions options;
   const std::string lc = flags.GetString("lc", "");

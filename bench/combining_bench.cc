@@ -14,11 +14,11 @@
 //
 // --check exits nonzero unless, at the top thread count, some combining lock beats
 // every non-combining entry in the sweep (this is the self-check scripts/check_all.sh
-// runs). Flags: --machine=x86|arm, --levels=a,b,..., --threads=csv, --duration_ms,
-// --seed, --jobs, --H (combining degree / keep-local threshold), --top=mcs|tkt|clh.
+// runs). Flags: --machine (bench::ParseMachine), --levels=a,b,..., --threads=csv,
+// --duration_ms, --seed, --jobs, --H (combining degree / keep-local threshold),
+// --top=mcs|tkt|clh.
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -31,16 +31,6 @@ namespace {
 
 using namespace clof;
 
-std::vector<std::string> SplitCsv(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream stream(text);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    out.push_back(token);
-  }
-  return out;
-}
-
 bool Contains(const std::vector<std::string>& names, const std::string& name) {
   return std::find(names.begin(), names.end(), name) != names.end();
 }
@@ -48,29 +38,16 @@ bool Contains(const std::vector<std::string>& names, const std::string& name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Flags flags(argc, argv);
-  const auto unknown =
-      flags.UnknownKeys({"machine", "levels", "threads", "duration_ms", "seed", "jobs",
-                         "H", "top", "quick", "check"});
-  if (!unknown.empty()) {
-    std::fprintf(stderr, "unknown flag(s):");
-    for (const auto& key : unknown) {
-      std::fprintf(stderr, " --%s", key.c_str());
-    }
-    std::fprintf(stderr, "\nusage: combining_bench [--quick] [--check] (see header)\n");
-    return 2;
-  }
+  bench::Flags flags(argc, argv,
+                     {"machine", "levels", "threads", "duration_ms", "seed", "jobs", "H",
+                      "top", "quick", "check"});
   const bool quick = flags.GetBool("quick");
-  const std::string machine_name = flags.GetString("machine", "arm");
-  const sim::Machine machine =
-      machine_name == "x86" ? sim::Machine::PaperX86() : sim::Machine::PaperArm();
+  const sim::Machine machine = bench::ParseMachine(flags);
 
   // Default hierarchies keep the sweep tractable: depth 3 is 64 generated
   // compositions; --quick drops to depth 2 (16) for the smoke-test path.
-  std::vector<std::string> level_names = SplitCsv(flags.GetString(
-      "levels", quick ? std::string("numa,system") : std::string("cache,numa,system")));
-  const topo::Hierarchy hierarchy =
-      topo::Hierarchy::Select(machine.topology, level_names);
+  const topo::Hierarchy hierarchy = bench::ParseHierarchy(
+      flags, machine.topology, quick ? "numa,system" : "cache,numa,system");
 
   combining::CombiningOptions options;
   options.combine_degree = 0;  // ClofParams.keep_local_threshold (--H) at Make time
@@ -95,12 +72,8 @@ int main(int argc, char** argv) {
       static_cast<uint32_t>(flags.GetInt("H", 128));
   config.duration_ms = flags.GetDouble("duration_ms", quick ? 0.25 : 0.5);
   config.jobs = flags.GetInt("jobs", 0);
-  const std::string threads = flags.GetString("threads", "");
-  if (!threads.empty()) {
-    for (const auto& token : SplitCsv(threads)) {
-      config.thread_counts.push_back(std::stoi(token));
-    }
-  } else {
+  config.thread_counts = flags.GetList<int>("threads");
+  if (config.thread_counts.empty()) {
     const auto all = harness::PaperThreadCounts(machine.topology);
     if (quick) {
       // The low-, mid-, and saturated-contention points of the full grid.

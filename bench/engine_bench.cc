@@ -89,24 +89,12 @@ SweepTotals RunScale(const sim::Machine& machine, double duration_ms) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Flags flags(argc, argv);
-  const auto unknown = flags.UnknownKeys({"duration_ms", "repeat", "topology"});
-  if (!unknown.empty()) {
-    std::fprintf(stderr, "unknown flag(s):");
-    for (const auto& key : unknown) {
-      std::fprintf(stderr, " --%s", key.c_str());
-    }
-    std::fprintf(stderr, "\nusage: engine_bench [--topology=cxl-pod-1024] "
-                         "[--duration_ms=N] [--repeat=N]\n");
-    return 2;
-  }
+  bench::Flags flags(argc, argv, {"duration_ms", "repeat", "topology"});
   const int repeat = flags.GetInt("repeat", 3);
   const std::string topology = flags.GetString("topology", "");
   const bool scale = topology == "cxl-pod-1024";
   if (!topology.empty() && !scale) {
-    std::fprintf(stderr, "unknown --topology=%s (supported: cxl-pod-1024)\n",
-                 topology.c_str());
-    return 2;
+    flags.Fail("--topology expects cxl-pod-1024, got --topology=" + topology);
   }
   // Scale-scenario default tuned so per-run setup (1024 fibers, lock construction over
   // 1024 CPUs) amortizes against steady-state simulation: below ~4 virtual ms the

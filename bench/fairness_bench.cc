@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace clof;
-  bench::Flags flags(argc, argv);
+  bench::Flags flags(argc, argv, {"duration_ms", "quick"});
   double duration = flags.GetDouble("duration_ms", flags.GetBool("quick") ? 0.5 : 2.0);
 
   auto machine = sim::Machine::PaperArm();

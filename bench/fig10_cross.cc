@@ -43,7 +43,7 @@ void RunMachineWorkload(const char* title, const sim::Machine& machine,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Flags flags(argc, argv);
+  bench::Flags flags(argc, argv, {"duration_ms", "runs", "jobs", "quick"});
   bench::CurveRunOptions options;
   options.duration_ms = flags.GetDouble("duration_ms", flags.GetBool("quick") ? 0.3 : 1.0);
   options.runs = flags.GetInt("runs", flags.GetBool("quick") ? 1 : 3);

@@ -39,7 +39,7 @@ void RunMachine(const char* label, const sim::Machine& machine,
 }  // namespace
 
 int main(int argc, char** argv) {
-  clof::bench::Flags flags(argc, argv);
+  clof::bench::Flags flags(argc, argv, {"rounds", "stride", "jobs", "quick"});
   discover::HeatmapOptions options;
   options.rounds_per_pair = flags.GetInt("rounds", 60);
   options.cpu_stride = flags.GetInt("stride", flags.GetBool("quick") ? 4 : 1);

@@ -13,7 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace clof;
-  bench::Flags flags(argc, argv);
+  bench::Flags flags(argc, argv, {"duration_ms", "runs", "quick"});
   auto machine = sim::Machine::PaperX86();
   const topo::Topology& topo = machine.topology;
 

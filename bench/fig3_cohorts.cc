@@ -87,7 +87,7 @@ void RunMachine(const char* label, const sim::Machine& machine, double duration_
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Flags flags(argc, argv);
+  bench::Flags flags(argc, argv, {"duration_ms", "quick"});
   double duration = flags.GetDouble("duration_ms", flags.GetBool("quick") ? 0.3 : 1.0);
   RunMachine("x86", sim::Machine::PaperX86(), duration);
   RunMachine("Armv8", sim::Machine::PaperArm(), duration);

@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace clof;
-  bench::Flags flags(argc, argv);
+  bench::Flags flags(argc, argv, {"duration_ms", "runs", "quick"});
   auto machine = sim::Machine::PaperArm();
   const topo::Topology& topo = machine.topology;
 

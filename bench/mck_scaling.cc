@@ -60,7 +60,7 @@ void Print(const char* label, const RunStats& stats) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Flags flags(argc, argv);
+  bench::Flags flags(argc, argv, {"budget", "quick"});
   uint64_t budget = static_cast<uint64_t>(
       flags.GetDouble("budget", flags.GetBool("quick") ? 300'000 : 3'000'000));
 

@@ -71,7 +71,7 @@ void RunVariant(const sim::Machine& machine, const std::vector<std::string>& lev
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Flags flags(argc, argv);
+  bench::Flags flags(argc, argv, {"duration_ms", "jobs", "candidates", "only", "quick"});
   double duration = flags.GetDouble("duration_ms", flags.GetBool("quick") ? 0.15 : 0.5);
   int jobs = flags.GetInt("jobs", 0);  // 0 = one worker per host CPU
   int candidates = flags.GetInt("candidates", 4);

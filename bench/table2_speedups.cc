@@ -35,7 +35,7 @@ void RunMachine(const char* label, const sim::Machine& machine, int stride, int 
 }  // namespace
 
 int main(int argc, char** argv) {
-  clof::bench::Flags flags(argc, argv);
+  clof::bench::Flags flags(argc, argv, {"stride", "jobs", "quick"});
   // x86 stride must hit SMT siblings (0/48 stay aligned for even strides) and cache
   // mates (3 consecutive cores): stride 2 preserves both.
   int stride = flags.GetInt("stride", flags.GetBool("quick") ? 2 : 1);

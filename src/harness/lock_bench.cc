@@ -1,6 +1,7 @@
 #include "src/harness/lock_bench.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -19,6 +20,10 @@ BenchResult RunLockBench(const BenchConfig& config) {
     throw std::invalid_argument(
         "RunLockBench simulates one lock; multi-site specs run under "
         "harness::RunServiceBench");
+  }
+  // A run needs a positive, finite span of virtual time.
+  if (!(config.duration_ms > 0.0 && std::isfinite(config.duration_ms))) {
+    throw std::invalid_argument("RunLockBench: duration_ms must be positive and finite");
   }
   const sim::Machine& machine = *config.spec.machine;
   const Registry& registry = config.spec.ResolveRegistry();

@@ -1,6 +1,7 @@
 #include "src/harness/service_bench.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 
@@ -30,6 +31,10 @@ ServiceBenchResult RunServiceBench(const ServiceBenchConfig& config) {
     throw std::invalid_argument(
         "RunServiceBench: fault plans are not supported; run fault studies through "
         "RunLockBench");
+  }
+  // A run needs a positive, finite span of virtual time.
+  if (!(config.duration_ms > 0.0 && std::isfinite(config.duration_ms))) {
+    throw std::invalid_argument("RunServiceBench: duration_ms must be positive and finite");
   }
   const sim::Machine& machine = *config.spec.machine;
   if (config.num_threads < 1 || config.num_threads > machine.topology.num_cpus()) {

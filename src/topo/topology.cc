@@ -20,6 +20,19 @@ Level DivisorLevel(const std::string& name, int num_cpus, int divisor) {
   return level;
 }
 
+// A FromSpec number: a CPU count or a level divisor, parsed whole as a positive decimal.
+int SpecNumber(const std::string& token, const std::string& spec) {
+  const bool digits = !token.empty() && token.size() <= 9 &&
+                      std::all_of(token.begin(), token.end(),
+                                  [](char c) { return c >= '0' && c <= '9'; });
+  const int value = digits ? std::stoi(token) : 0;
+  if (value <= 0) {
+    throw std::invalid_argument("topology spec token '" + token +
+                                "' is not a positive whole number: " + spec);
+  }
+  return value;
+}
+
 }  // namespace
 
 Topology::Topology(std::string name, int num_cpus, std::vector<Level> levels)
@@ -228,7 +241,7 @@ Topology Topology::FromSpec(const std::string& spec) {
   if (!std::getline(rest, token, ';')) {
     throw std::invalid_argument("topology spec missing CPU count: " + spec);
   }
-  int num_cpus = std::stoi(token);
+  const int num_cpus = SpecNumber(token, spec);
   std::vector<Level> levels;
   int prev_div = 0;
   while (std::getline(rest, token, ';')) {
@@ -237,7 +250,7 @@ Topology Topology::FromSpec(const std::string& spec) {
       throw std::invalid_argument("bad level token '" + token + "' in spec: " + spec);
     }
     std::string level_name = token.substr(0, eq);
-    int divisor = std::stoi(token.substr(eq + 1));
+    const int divisor = SpecNumber(token.substr(eq + 1), spec);
     if (divisor <= prev_div) {
       throw std::invalid_argument("level divisors must strictly increase: " + spec);
     }

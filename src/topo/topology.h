@@ -114,8 +114,9 @@ class Topology {
   static Topology Flat(int num_cpus, const std::string& name = "flat");
 
   // Parses "name:ncpus;level=div;level=div;..." where cohort(cpu) = cpu / div and
-  // divisors strictly increase. A final "system" level is added automatically if the
-  // last divisor does not already span all CPUs. Example:
+  // divisors strictly increase. Every number must be a whole positive decimal token
+  // (std::invalid_argument names the first that is not). A final "system" level is
+  // added automatically if the last divisor does not already span all CPUs. Example:
   //   "arm128:128;cache=4;numa=32;package=64"
   static Topology FromSpec(const std::string& spec);
   std::string ToSpec() const;  // best-effort inverse of FromSpec (divisor levels only)

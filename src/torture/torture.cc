@@ -1,6 +1,7 @@
 #include "src/torture/torture.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
@@ -302,6 +303,10 @@ TortureReport RunTorture(const TortureConfig& config) {
   if (config.num_threads < 1 ||
       config.num_threads > config.machine->topology.num_cpus()) {
     throw std::invalid_argument("num_threads out of range for machine");
+  }
+  // A run needs a positive, finite span of virtual time.
+  if (!(config.duration_ms > 0.0 && std::isfinite(config.duration_ms))) {
+    throw std::invalid_argument("RunTorture: duration_ms must be positive and finite");
   }
   std::vector<fault::Scenario> scenarios =
       config.scenarios.empty() ? fault::TortureMatrix(config.seed) : config.scenarios;

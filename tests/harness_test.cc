@@ -91,6 +91,9 @@ TEST(HarnessTest, ValidatesConfig) {
   config.num_threads = 500;
   EXPECT_THROW(RunLockBench(config), std::invalid_argument);
   config.num_threads = 8;
+  config.duration_ms = 0.0;
+  EXPECT_THROW(RunLockBench(config), std::invalid_argument);
+  config.duration_ms = 0.2;
   config.spec.machine = nullptr;
   EXPECT_THROW(RunLockBench(config), std::invalid_argument);
 }

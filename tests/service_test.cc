@@ -343,6 +343,15 @@ TEST(ServiceBenchTest, ObservedSharesTrackTheProfileBelowSaturation) {
   }
 }
 
+TEST(ServiceBenchTest, RejectsANonPositiveDuration) {
+  auto machine = sim::Machine::PaperArm();
+  harness::ServiceBenchConfig config = SmallServiceBench(machine);
+  for (double duration_ms : {0.0, -1.0}) {
+    config.duration_ms = duration_ms;
+    EXPECT_THROW(harness::RunServiceBench(config), std::invalid_argument) << duration_ms;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // RunSiteSelection
 // ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "src/runtime/rng.h"
 
 namespace clof::topo {
 namespace {
@@ -97,6 +100,101 @@ TEST(TopologyTest, FromSpecErrors) {
   EXPECT_THROW(Topology::FromSpec("no-colon"), std::invalid_argument);
   EXPECT_THROW(Topology::FromSpec("x:16;a=8;b=4"), std::invalid_argument);  // not increasing
   EXPECT_THROW(Topology::FromSpec("x:16;a"), std::invalid_argument);
+}
+
+TEST(TopologyTest, FromSpecParsesWholeTokens) {
+  // A number that only starts like one is an error, not its numeric prefix.
+  for (const char* spec : {"t:0", "t:-4", "t:8x", "t:8;cache=2y", "t:8;numa=4.9", "t: 8",
+                           "t:+8", "t:8;a=", "t:", "t:99999999999", "t:8;a=0"}) {
+    SCOPED_TRACE(spec);
+    EXPECT_THROW(Topology::FromSpec(spec), std::invalid_argument);
+  }
+  try {
+    Topology::FromSpec("t:8;cache=2y");
+    ADD_FAILURE() << "accepted cache=2y";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("'2y'"), std::string::npos) << error.what();
+  }
+}
+
+// The test's own reading of a divisor spec: true when every number in `spec` is a whole
+// decimal token and `topology` has exactly the levels those numbers describe.
+bool MatchesWholeTokens(const std::string& spec, const Topology& topology) {
+  auto whole = [](const std::string& token, int* value) {
+    if (token.empty() || token.size() > 9 ||
+        !std::all_of(token.begin(), token.end(), [](char c) { return c >= '0' && c <= '9'; })) {
+      return false;
+    }
+    *value = std::stoi(token);
+    return true;
+  };
+  const size_t colon = spec.find(':');
+  if (colon == std::string::npos || spec.substr(0, colon) != topology.name()) {
+    return false;
+  }
+  std::vector<std::string> tokens;
+  for (size_t begin = colon + 1;;) {
+    const size_t semicolon = spec.find(';', begin);
+    tokens.push_back(spec.substr(begin, semicolon - begin));
+    if (semicolon == std::string::npos) {
+      break;
+    }
+    begin = semicolon + 1;
+  }
+  if (tokens.size() > 1 && tokens.back().empty()) {
+    tokens.pop_back();  // a trailing ';' ends the spec
+  }
+  int cpus = 0;
+  if (!whole(tokens[0], &cpus) || cpus != topology.num_cpus()) {
+    return false;
+  }
+  int level = 0;
+  for (size_t i = 1; i < tokens.size(); ++i, ++level) {
+    const size_t eq = tokens[i].find('=');
+    int divisor = 0;
+    if (eq == std::string::npos || !whole(tokens[i].substr(eq + 1), &divisor) ||
+        level >= topology.num_levels() || topology.level(level).name != tokens[i].substr(0, eq) ||
+        topology.level(level).num_cohorts != (cpus + divisor - 1) / divisor) {
+      return false;
+    }
+  }
+  // FromSpec appends a system level when the last divisor leaves several cohorts.
+  return level == topology.num_levels() ||
+         (level + 1 == topology.num_levels() && topology.level(level).name == "system" &&
+          topology.level(level).num_cohorts == 1);
+}
+
+TEST(TopologyTest, FromSpecSurvivesCutsAndByteFlips) {
+  // A spec shaped like the one docs/TUTORIAL.md discovers, cut at every byte and put
+  // through a fixed set of seeded single-byte flips.
+  const std::string spec = "mybox:64;l0=4;l1=16;l2=32";
+  std::vector<std::string> inputs;
+  for (size_t cut = 0; cut <= spec.size(); ++cut) {
+    inputs.push_back(spec.substr(0, cut));
+  }
+  const std::string separators = ":;=-+.x 0123456789";
+  runtime::Xoshiro256 rng(20211026);
+  for (int i = 0; i < 4096; ++i) {
+    std::string flipped = spec;
+    const uint64_t draw = rng.Next();
+    flipped[draw % spec.size()] =
+        (draw >> 32) & 1 ? static_cast<char>(rng.Next() & 0xff)
+                         : separators[rng.Next() % separators.size()];
+    inputs.push_back(flipped);
+  }
+  int accepted = 0;
+  for (const std::string& input : inputs) {
+    try {
+      const Topology topology = Topology::FromSpec(input);
+      ++accepted;
+      EXPECT_TRUE(MatchesWholeTokens(input, topology)) << "accepted: " << input;
+    } catch (const std::invalid_argument&) {
+      // A structured rejection is a valid outcome.
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "spec " << input << " threw " << error.what();
+    }
+  }
+  EXPECT_GT(accepted, 1);  // the uncut spec and its digit-for-digit flips at least
 }
 
 TEST(TopologyTest, RejectsNonNestingLevels) {

@@ -203,6 +203,9 @@ TEST(TortureTest, RejectsUnusableConfigs) {
   config.lock_names = {"no-such-lock"};
   EXPECT_THROW(RunTorture(config), std::invalid_argument);
   config.lock_names = MutantNames();
+  config.duration_ms = 0.0;
+  EXPECT_THROW(RunTorture(config), std::invalid_argument);
+  config.duration_ms = 0.1;
   config.machine = nullptr;
   EXPECT_THROW(RunTorture(config), std::invalid_argument);
 }

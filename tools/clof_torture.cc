@@ -9,15 +9,15 @@
 //   clof_torture --mutants           mutants only
 //   clof_torture --locks=a,b,...     named genuine locks only (clean = exit 0)
 //
-// Flags: --machine=x86|arm (default arm), --levels=<names,comma>, --threads=N,
-//        --duration_ms=D, --seed=S, --jobs=N (0 = all host CPUs),
+// Flags: --machine=x86|arm|cxl-pod-1024|dc-4level (default arm), --topology=<spec>
+//        (custom machine, see topo::Topology::FromSpec), --levels=<names,comma>,
+//        --threads=N, --duration_ms=D, --seed=S, --jobs=N (0 = all host CPUs),
 //        --scenarios=none,preempt,... (csv of fault specs; default the full torture
 //        matrix), --verbose (append engine diagnostics to deadlock/watchdog findings).
 //
 // This is the oracle-validation entry point scripts/check_all.sh runs as a smoke test
 // and scripts/torture.sh runs at length with many seeds.
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -31,31 +31,6 @@
 namespace {
 
 using namespace clof;
-
-std::vector<std::string> SplitCsv(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream stream(text);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    out.push_back(token);
-  }
-  return out;
-}
-
-topo::Hierarchy DefaultHierarchy(const topo::Topology& topology, const std::string& levels) {
-  if (!levels.empty()) {
-    return topo::Hierarchy::Select(topology, SplitCsv(levels));
-  }
-  std::vector<std::string> names;
-  int previous_cohorts = -1;
-  for (int i = 0; i < topology.num_levels(); ++i) {
-    if (topology.level(i).num_cohorts != previous_cohorts) {
-      names.push_back(topology.level(i).name);
-      previous_cohorts = topology.level(i).num_cohorts;
-    }
-  }
-  return topo::Hierarchy::Select(topology, names);
-}
 
 // The default genuine control set: a deterministic handful of full-depth generated
 // compositions plus the depth-adaptive baselines. Every one must pass the matrix
@@ -85,12 +60,12 @@ torture::TortureReport Torture(const bench::Flags& flags, const sim::Machine& ma
   config.registry = &registry;
   config.lock_names = std::move(locks);
   config.num_threads = flags.GetInt("threads", 6);
-  config.duration_ms = flags.GetDouble("duration_ms", 0.1);
+  config.duration_ms = flags.GetPositive("duration_ms", 0.1);
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   config.jobs = flags.GetInt("jobs", 0);
   const std::string scenario_spec = flags.GetString("scenarios", "");
   if (!scenario_spec.empty()) {
-    for (const auto& token : SplitCsv(scenario_spec)) {
+    for (const auto& token : bench::SplitCsv(scenario_spec)) {
       config.scenarios.push_back({token, fault::PlanFromSpec(token, config.seed)});
     }
   }
@@ -98,10 +73,8 @@ torture::TortureReport Torture(const bench::Flags& flags, const sim::Machine& ma
 }
 
 int Run(const bench::Flags& flags) {
-  const std::string machine_name = flags.GetString("machine", "arm");
-  const sim::Machine machine =
-      machine_name == "x86" ? sim::Machine::PaperX86() : sim::Machine::PaperArm();
-  const auto hierarchy = DefaultHierarchy(machine.topology, flags.GetString("levels", ""));
+  const sim::Machine machine = bench::ParseMachine(flags);
+  const auto hierarchy = bench::ParseHierarchy(flags, machine.topology);
   const bool verbose = flags.GetBool("verbose");
   const std::string named = flags.GetString("locks", "");
   const bool mutants_only = flags.GetBool("mutants");
@@ -133,7 +106,7 @@ int Run(const bench::Flags& flags) {
     const Registry registry =
         timeout::WithTimeout(combining::WithCombining(base, combining_options));
     std::vector<std::string> locks =
-        named.empty() ? ControlLocks(registry, hierarchy) : SplitCsv(named);
+        named.empty() ? ControlLocks(registry, hierarchy) : bench::SplitCsv(named);
     if (named.empty()) {
       for (const auto& name : combining::CombiningLockNames(combining_options)) {
         locks.push_back(name);
@@ -166,7 +139,9 @@ int Run(const bench::Flags& flags) {
 
 int main(int argc, char** argv) {
   try {
-    return Run(bench::Flags(argc, argv));
+    return Run(bench::Flags(argc, argv,
+                            {"machine", "topology", "levels", "threads", "duration_ms", "seed",
+                             "jobs", "scenarios", "verbose", "locks", "mutants"}));
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;
