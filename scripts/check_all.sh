@@ -21,15 +21,19 @@
 # winning inner lock. A service smoke stage runs the multi-lock scenario
 # (docs/SERVICE.md) with --check: per-site selection must install different
 # compositions at different sites and hold its ground against the
-# single-global-winner baseline on the saturation curve. A combining smoke stage
-# runs bench/combining_bench --quick --check (docs/COMBINING.md): CC-Synch/H-Synch
-# must survive the sweep unquarantined and beat the best non-combining entry at the
-# saturated end. A timeout smoke stage runs the deadline-bounded service curve
-# (docs/TIMEOUT.md) with --check: the unbounded baseline must cross the latency knee
-# at top load while the deadline run sheds late requests and keeps p999 bounded. A
-# cache smoke stage runs two sweeps at the same time into one --cache directory, so
-# both processes append to one result-cache log, then a third run that must miss
-# nothing; every output must match an uncached run apart from the cache summary line.
+# single-global-winner baseline on the saturation curve. It runs four ways (--jobs=1
+# and the default, each with and without --seed=42) and fails on any byte
+# difference, since a service result must be a function of its configuration alone.
+# A combining smoke stage runs bench/combining_bench --quick --check
+# (docs/COMBINING.md): CC-Synch/H-Synch must survive the sweep unquarantined and beat
+# the best non-combining entry at the saturated end. A timeout smoke stage runs the
+# deadline-bounded service curve (docs/TIMEOUT.md) with --check: the unbounded
+# baseline must cross the latency knee at top load while the deadline run sheds late
+# requests and keeps p999 bounded; it too must print the same bytes with and without
+# --seed=42 (the mode takes no --jobs). A cache smoke stage runs two sweeps at the
+# same time into one --cache directory, so both processes append to one result-cache
+# log, then a third run that must miss nothing; every output must match an uncached
+# run apart from the cache summary line.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -71,11 +75,34 @@ adaptive_smoke() {
   ./build/bench/adaptive_ramp --quick --lc=tkt-tkt-tkt --hc=mcs-mcs-mcs
 }
 
+# Runs `clof_bench BASE EXTRA` once per EXTRA argument (a space-separated flag list,
+# possibly empty) and fails unless every run exits 0 and all of them print the first
+# run's bytes.
+same_bytes() {
+  local base="$1"
+  shift
+  local tmp status=0 i=0 extra
+  tmp="$(mktemp -d)" || return 1
+  for extra in "$@"; do
+    # shellcheck disable=SC2086  # both lists are meant to split into flags
+    ./build/tools/clof_bench ${base} ${extra} > "${tmp}/${i}.txt" || status=1
+    if ! cmp -s "${tmp}/0.txt" "${tmp}/${i}.txt"; then
+      echo "byte difference: clof_bench ${base} ${extra} vs ${base} $1" >&2
+      diff "${tmp}/0.txt" "${tmp}/${i}.txt" >&2
+      status=1
+    fi
+    i=$((i + 1))
+  done
+  cat "${tmp}/0.txt"
+  rm -rf "${tmp}"
+  return "${status}"
+}
+
 service_smoke() {
   # Quick multi-lock service scenario with its acceptance checks: the binary exits
   # nonzero when the sites all agree or per-site selection loses to the global
-  # baseline. Deterministic, so the outcome is CI-stable.
-  ./build/tools/clof_bench --service --quick --check
+  # baseline. Deterministic, so the four runs print identical bytes.
+  same_bytes "--service --quick --check" "--jobs=1" "--jobs=1 --seed=42" "" "--seed=42"
 }
 
 combining_smoke() {
@@ -89,7 +116,7 @@ timeout_smoke() {
   # Quick deadline-bounded service curve with its acceptance checks: exits nonzero
   # unless the unbounded baseline crosses the deadline at top load while the
   # deadline run drops late requests and bounds p999 below the baseline.
-  ./build/tools/clof_bench --service --quick --deadline=2000 --check
+  same_bytes "--service --quick --deadline=2000 --check" "" "--seed=42"
 }
 
 cache_smoke() {

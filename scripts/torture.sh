@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Long-form lock torture: runs clof_torture across many seeds and both paper
 # machines, at a longer per-run duration than the check_all.sh smoke stage. Every
-# seed must produce the same verdict — the eight mutants flagged, genuine locks
+# seed must produce the same verdict — the eleven mutants flagged, genuine locks
 # clean — so a schedule-dependent oracle gap that a single seed would miss fails
 # here. The genuine control set includes the combining locks (CC-Synch and H-Synch
 # at the lowest hierarchy level) via clof_torture's defaults, so the closure-path

@@ -39,8 +39,8 @@ class Lock {
 
   // Closure-mode critical section (docs/COMBINING.md): runs `fn` exactly once under
   // this lock's mutual exclusion. For ordinary locks this is literally
-  // Acquire-fn-Release — the same simulated access sequence, so harness results are
-  // byte-identical on either path (tests/combining_test.cc asserts equality).
+  // Acquire-fn-Release, the same simulated access sequence, which is why the harnesses
+  // run every untimed critical section through it (src/harness/run_driver.h).
   // Combining locks override it: `fn` may execute on the current combiner's thread,
   // which is the entire point of the family. `fn` must stay alive until Execute
   // returns; it is never retained.
@@ -49,11 +49,6 @@ class Lock {
     fn();
     Release(ctx);
   }
-
-  // True when Execute() may run the closure on a different thread (a combining lock).
-  // The harnesses use this to route critical sections through the closure path while
-  // every classic lock keeps the historical acquire/release path untouched.
-  virtual bool combining() const { return false; }
 
   // Bounded-wait acquisition (docs/TIMEOUT.md): true iff the lock was acquired within
   // ~timeout_ns; on false the caller holds nothing and owes no Release. Only locks with

@@ -52,8 +52,8 @@ Registry WithCombining(const Registry& base, const CombiningOptions& options);
 
 // Adapts any locks::CombiningLock to the type-erased interface, overriding the
 // closure path natively (PlainLock would fall back to the acquire/release shim and
-// forfeit delegation). The harnesses key off combining() == true to route critical
-// sections through Execute.
+// forfeit delegation). The harnesses run every untimed critical section through
+// Execute, so delegation needs no opt-in.
 template <class L>
   requires locks::CombiningLock<L>
 class CombiningLockAdapter final : public Lock {
@@ -80,8 +80,6 @@ class CombiningLockAdapter final : public Lock {
   void Execute(Lock::Context& ctx, runtime::FunctionRef<void()> fn) override {
     lock_.Execute(static_cast<ContextImpl&>(ctx).inner, fn);
   }
-
-  bool combining() const override { return true; }
 
   const std::string& name() const override { return name_; }
   int levels() const override { return levels_; }

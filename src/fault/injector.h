@@ -1,8 +1,8 @@
 // The engine-side half of clof::fault: an Injector turns a FaultPlan into the
 // sim::FaultHook callbacks the engine consults on its hot paths (Work cost scaling for
 // heterogeneous CPU speed, pre-access clock stalls for lock-holder preemption). The
-// harness-side injectors (interference fibers, thread churn) live in
-// src/harness/lock_bench.cc because they need the benchmark's shared state.
+// harness-side injectors (interference fibers, thread churn) live in the run driver
+// (src/harness/run_driver.h) because they need the harness's threads and lines.
 //
 // Determinism: WorkScale is a per-CPU constant computed once from the plan seed;
 // PreAccessStall draws from one private xoshiro stream per simulated thread, advanced

@@ -36,12 +36,6 @@ struct BenchConfig {
   // surfaces as SimDeadlockError/SimWatchdogError with a per-thread diagnostic, and
   // an untripped run's results stay bit-identical to an unwatched one.
   sim::WatchdogConfig watchdog;
-  // Test-only: route critical sections through Lock::Execute even for non-combining
-  // locks. The default shim is literally Acquire-fn-Release, so results are
-  // byte-identical either way (tests/combining_test.cc asserts this) — which is why
-  // this flag is deliberately NOT part of the sweep fingerprint. Combining locks
-  // always take the closure path, regardless of this flag.
-  bool force_closure_api = false;
 };
 
 struct BenchResult {

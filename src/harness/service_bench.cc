@@ -1,10 +1,11 @@
 #include "src/harness/service_bench.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
+#include "src/harness/run_driver.h"
 #include "src/harness/shared_state.h"
 #include "src/runtime/rng.h"
 #include "src/runtime/stats.h"
@@ -32,14 +33,12 @@ ServiceBenchResult RunServiceBench(const ServiceBenchConfig& config) {
         "RunServiceBench: fault plans are not supported; run fault studies through "
         "RunLockBench");
   }
-  // A run needs a positive, finite span of virtual time.
-  if (!(config.duration_ms > 0.0 && std::isfinite(config.duration_ms))) {
-    throw std::invalid_argument("RunServiceBench: duration_ms must be positive and finite");
-  }
-  const sim::Machine& machine = *config.spec.machine;
-  if (config.num_threads < 1 || config.num_threads > machine.topology.num_cpus()) {
-    throw std::invalid_argument("num_threads out of range for machine");
-  }
+  RunDriver driver({.caller = "RunServiceBench",
+                    .machine = config.spec.machine,
+                    .num_threads = config.num_threads,
+                    .duration_ms = config.duration_ms,
+                    .seed = config.spec.seed,
+                    .watchdog = config.watchdog});
   const double offered =
       config.offered_load_per_us > 0.0 ? config.offered_load_per_us
                                        : config.service.arrival_rate_per_us;
@@ -51,15 +50,18 @@ ServiceBenchResult RunServiceBench(const ServiceBenchConfig& config) {
   const std::vector<workload::LockSite>& sites = config.service.sites;
   const auto num_sites = sites.size();
 
-  // One lock + one SharedState per shard instance, grouped by site. Independent heaps
-  // per instance: contention only couples requests that actually hit the same shard.
-  std::vector<std::vector<std::unique_ptr<Lock>>> locks(num_sites);
-  std::vector<std::vector<std::unique_ptr<SharedState>>> shards(num_sites);
+  // One lock + one SharedState per shard instance, grouped by site: instance i of site
+  // s is shard first_shard[s] + i, which is also its lock's id in the driver.
+  // Independent heaps per instance: contention only couples requests that actually
+  // hit the same shard.
+  std::vector<int> first_shard(num_sites);
+  std::vector<std::unique_ptr<SharedState>> shards;
   for (size_t s = 0; s < num_sites; ++s) {
+    first_shard[s] = static_cast<int>(shards.size());
     for (int i = 0; i < sites[s].instances; ++i) {
-      locks[s].push_back(registry.Make(config.site_locks[s], config.spec.hierarchy,
-                                       config.spec.params));
-      shards[s].push_back(std::make_unique<SharedState>(sites[s].profile));
+      driver.AddLock(registry.Make(config.site_locks[s], config.spec.hierarchy,
+                                   config.spec.params));
+      shards.push_back(std::make_unique<SharedState>(sites[s].profile));
     }
   }
 
@@ -80,13 +82,7 @@ ServiceBenchResult RunServiceBench(const ServiceBenchConfig& config) {
   const workload::OpenLoopArrivals arrivals(offered /
                                             static_cast<double>(config.num_threads));
 
-  sim::Engine engine(machine.topology, machine.platform);
-  if (config.watchdog.Enabled()) {
-    engine.SetWatchdog(config.watchdog);
-  }
-
   const double end_ns = config.duration_ms * 1e6;
-  const sim::Time end = sim::PsFromNs(end_ns);
   // Per-site tallies. Fibers run on one host thread, so plain shared containers
   // observe the deterministic interleaving without adding simulated accesses.
   std::vector<uint64_t> site_ops(num_sites, 0);
@@ -96,114 +92,83 @@ ServiceBenchResult RunServiceBench(const ServiceBenchConfig& config) {
   uint64_t offered_requests = 0;
   const double deadline_ns = config.spec.deadline_ns;
 
-  for (int t = 0; t < config.num_threads; ++t) {
-    engine.Spawn(t, [&, t] {
-      runtime::Xoshiro256 rng(config.spec.seed * 0x9e3779b97f4a7c15ull + t);
-      // One context per lock instance, lazily created on first touch: a thread that
-      // never reaches a shard never pays for (or perturbs) its queue node state.
-      std::vector<std::vector<std::unique_ptr<Lock::Context>>> ctx(num_sites);
-      for (size_t s = 0; s < num_sites; ++s) {
-        ctx[s].resize(locks[s].size());
+  driver.Run([&](int t, runtime::Xoshiro256& rng) {
+    auto& eng = sim::Engine::Current();
+    double next_arrival_ns = 0.0;
+    while (true) {
+      next_arrival_ns += arrivals.NextGapNs(rng);
+      if (next_arrival_ns >= end_ns) {
+        break;
       }
-      auto& eng = sim::Engine::Current();
-      double next_arrival_ns = 0.0;
-      while (true) {
-        next_arrival_ns += arrivals.NextGapNs(rng);
-        if (next_arrival_ns >= end_ns) {
-          break;
+      ++offered_requests;
+      if (eng.Now() >= driver.end()) {
+        // Past the horizon with a backlog: keep draining the arrival stream so
+        // `offered_requests` counts every request the load implies, but drop the
+        // work — that shortfall is exactly what completion_ratio reports.
+        continue;
+      }
+      const sim::Time arrival = sim::PsFromNs(next_arrival_ns);
+      if (eng.Now() < arrival) {
+        eng.Work(next_arrival_ns - sim::NsFromPs(eng.Now()));
+      }
+      // Route: site by share, shard instance by Zipf key popularity. The key is
+      // drawn for every request (even single-instance sites) so each site's rank
+      // stream is a fixed function of the routing stream.
+      const double pick = rng.NextDouble();
+      size_t s = 0;
+      while (s + 1 < num_sites && pick > cumulative[s]) {
+        ++s;
+      }
+      const uint64_t key = zipf.Next(rng);
+      const int shard =
+          first_shard[s] + static_cast<int>(key % static_cast<uint64_t>(sites[s].instances));
+      const workload::Profile& p = sites[s].profile;
+      // Per-request absolute deadline: scheduled arrival + budget (docs/TIMEOUT.md).
+      // Lateness pre-check first: a request whose deadline already passed while it
+      // waited in the backlog is shed before doing any of its work — this, not the
+      // bounded acquire, is what caps the backlog under heavy overload.
+      const double request_deadline_ns =
+          deadline_ns > 0.0 ? next_arrival_ns + deadline_ns : 0.0;
+      if (request_deadline_ns > 0.0 && sim::NsFromPs(eng.Now()) >= request_deadline_ns) {
+        ++site_drops[s];
+        eng.ReportProgress();  // shedding is forward progress
+        continue;
+      }
+      if (p.think_ns > 0.0) {
+        // The request's per-site work outside the critical section (parse, hash,
+        // serialize). Jittered like the single-lock harness.
+        double jitter = 1.0 + p.think_jitter * (2.0 * rng.NextDouble() - 1.0);
+        eng.Work(p.think_ns * jitter);
+      }
+      const sim::Time acquire_begin = eng.Now();
+      // The acquire is bounded by the request's remaining budget, which may already be
+      // spent: abortable site locks (the mcst chains) honor the bound for real,
+      // anything else degrades to the blocking shim.
+      std::optional<double> budget_ns;
+      if (request_deadline_ns > 0.0) {
+        budget_ns = request_deadline_ns - sim::NsFromPs(eng.Now());
+      }
+      // Latency and shard work are recorded on whichever thread runs the critical
+      // section: the combiner's when a combining site delegates it.
+      auto body = [&] {
+        site_latency_ns[s].push_back(sim::NsFromPs(eng.Now() - acquire_begin));
+        shards[shard]->TouchCriticalSection(rng);
+        if (p.cs_work_ns > 0.0) {
+          eng.Work(p.cs_work_ns);
         }
-        ++offered_requests;
-        if (eng.Now() >= end) {
-          // Past the horizon with a backlog: keep draining the arrival stream so
-          // `offered_requests` counts every request the load implies, but drop the
-          // work — that shortfall is exactly what completion_ratio reports.
-          continue;
-        }
-        const sim::Time arrival = sim::PsFromNs(next_arrival_ns);
-        if (eng.Now() < arrival) {
-          eng.Work(next_arrival_ns - sim::NsFromPs(eng.Now()));
-        }
-        // Route: site by share, shard instance by Zipf key popularity. The key is
-        // drawn for every request (even single-instance sites) so each site's rank
-        // stream is a fixed function of the routing stream.
-        const double pick = rng.NextDouble();
-        size_t s = 0;
-        while (s + 1 < num_sites && pick > cumulative[s]) {
-          ++s;
-        }
-        const uint64_t key = zipf.Next(rng);
-        const auto inst = static_cast<size_t>(key % locks[s].size());
-        const workload::Profile& p = sites[s].profile;
-        // Per-request absolute deadline: scheduled arrival + budget (docs/TIMEOUT.md).
-        // Lateness pre-check first: a request whose deadline already passed while it
-        // waited in the backlog is shed before doing any of its work — this, not the
-        // bounded acquire, is what caps the backlog under heavy overload.
-        const double request_deadline_ns =
-            deadline_ns > 0.0 ? next_arrival_ns + deadline_ns : 0.0;
-        if (request_deadline_ns > 0.0 &&
-            sim::NsFromPs(eng.Now()) >= request_deadline_ns) {
-          ++site_drops[s];
-          eng.ReportProgress();  // shedding is forward progress
-          continue;
-        }
-        if (p.think_ns > 0.0) {
-          // The request's per-site work outside the critical section (parse, hash,
-          // serialize). Jittered like the single-lock harness.
-          double jitter = 1.0 + p.think_jitter * (2.0 * rng.NextDouble() - 1.0);
-          eng.Work(p.think_ns * jitter);
-        }
-        if (ctx[s][inst] == nullptr) {
-          ctx[s][inst] = locks[s][inst]->MakeContext();
-        }
-        const sim::Time acquire_begin = eng.Now();
-        if (request_deadline_ns > 0.0) {
-          // Timed path: bound the acquire by the request's remaining budget. Abortable
-          // site locks (the mcst chains) honor the bound for real; anything else
-          // degrades to the blocking shim. Combining sites take this classic surface
-          // too — delegation cannot express a per-request deadline.
-          const double remaining_ns = request_deadline_ns - sim::NsFromPs(eng.Now());
-          if (!locks[s][inst]->TryAcquireFor(*ctx[s][inst], remaining_ns)) {
-            ++site_drops[s];
-            eng.ReportProgress();
-            continue;
-          }
-          site_latency_ns[s].push_back(sim::NsFromPs(eng.Now() - acquire_begin));
-          shards[s][inst]->TouchCriticalSection(rng);
-          if (p.cs_work_ns > 0.0) {
-            eng.Work(p.cs_work_ns);
-          }
-          locks[s][inst]->Release(*ctx[s][inst]);
-        } else if (locks[s][inst]->combining()) {
-          // Closure-mode site (docs/COMBINING.md): latency and shard work recorded at
-          // closure entry, on whichever thread the combiner delegates the request to.
-          auto body = [&] {
-            site_latency_ns[s].push_back(sim::NsFromPs(eng.Now() - acquire_begin));
-            shards[s][inst]->TouchCriticalSection(rng);
-            if (p.cs_work_ns > 0.0) {
-              eng.Work(p.cs_work_ns);
-            }
-          };
-          locks[s][inst]->Execute(*ctx[s][inst], body);
-        } else {
-          locks[s][inst]->Acquire(*ctx[s][inst]);
-          site_latency_ns[s].push_back(sim::NsFromPs(eng.Now() - acquire_begin));
-          shards[s][inst]->TouchCriticalSection(rng);
-          if (p.cs_work_ns > 0.0) {
-            eng.Work(p.cs_work_ns);
-          }
-          locks[s][inst]->Release(*ctx[s][inst]);
-        }
-        ++site_ops[s];
-        request_latency_ns.push_back(sim::NsFromPs(eng.Now()) - next_arrival_ns);
+      };
+      if (!driver.CriticalSection(t, shard, budget_ns, body)) {
+        ++site_drops[s];
         eng.ReportProgress();
+        continue;
       }
-    });
-  }
-  engine.Run();
-  for (const auto& site_shards : shards) {
-    for (const auto& shard : site_shards) {
-      shard->VerifyCounters();
+      ++site_ops[s];
+      request_latency_ns.push_back(sim::NsFromPs(eng.Now()) - next_arrival_ns);
+      eng.ReportProgress();
     }
+  });
+  for (const auto& shard : shards) {
+    shard->VerifyCounters();
   }
 
   ServiceBenchResult result;

@@ -84,7 +84,9 @@ struct ServiceBenchResult {
   std::vector<SiteBenchStats> sites;
 };
 
-// Runs the service once. Deterministic: identical config => identical result.
+// Runs the service once. Deterministic: identical config => identical result, whatever
+// ran before on the host thread (the run driver keeps every lock context until the
+// run ends; see src/harness/run_driver.h).
 ServiceBenchResult RunServiceBench(const ServiceBenchConfig& config);
 
 }  // namespace clof::harness

@@ -98,10 +98,10 @@ class FaultHook {
 
 class Engine {
  public:
-  // Hard cap on simulated CPUs, sized for the data-center topology presets
-  // (topo::Topology::CxlPod1024()). Per-CPU engine state is allocated from
-  // topology.num_cpus(), not this bound, so small machines pay nothing for it.
-  static constexpr int kMaxCpus = 1024;
+  // Hard cap on simulated CPUs (topo::kMaxCpus, which FromSpec enforces too). Per-CPU
+  // engine state is allocated from topology.num_cpus(), not this bound, so small
+  // machines pay nothing for it.
+  static constexpr int kMaxCpus = topo::kMaxCpus;
 
   Engine(const topo::Topology& topology, PlatformModel platform);
   ~Engine();

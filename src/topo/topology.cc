@@ -242,6 +242,11 @@ Topology Topology::FromSpec(const std::string& spec) {
     throw std::invalid_argument("topology spec missing CPU count: " + spec);
   }
   const int num_cpus = SpecNumber(token, spec);
+  if (num_cpus > kMaxCpus) {
+    throw std::invalid_argument("topology spec CPU count " + token +
+                                " exceeds the simulator limit of " +
+                                std::to_string(kMaxCpus) + ": " + spec);
+  }
   std::vector<Level> levels;
   int prev_div = 0;
   while (std::getline(rest, token, ';')) {

@@ -25,6 +25,10 @@
 
 namespace clof::topo {
 
+// The most CPUs a simulated machine may have (sim::Engine::kMaxCpus), sized for the
+// data-center presets below.
+inline constexpr int kMaxCpus = 1024;
+
 struct Level {
   std::string name;
   std::vector<int> cpu_to_cohort;  // indexed by CPU id
@@ -115,8 +119,10 @@ class Topology {
 
   // Parses "name:ncpus;level=div;level=div;..." where cohort(cpu) = cpu / div and
   // divisors strictly increase. Every number must be a whole positive decimal token
-  // (std::invalid_argument names the first that is not). A final "system" level is
-  // added automatically if the last divisor does not already span all CPUs. Example:
+  // (std::invalid_argument names the first that is not), and ncpus at most kMaxCpus
+  // (a larger count would first build a quadratic sharing matrix). A final "system"
+  // level is added automatically if the last divisor does not already span all CPUs.
+  // Example:
   //   "arm128:128;cache=4;numa=32;package=64"
   static Topology FromSpec(const std::string& spec);
   std::string ToSpec() const;  // best-effort inverse of FromSpec (divisor levels only)

@@ -1,14 +1,15 @@
 #include "src/torture/torture.h"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 #include <cstdio>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "src/exec/executor.h"
-#include "src/fault/injector.h"
+#include "src/harness/run_driver.h"
+#include "src/harness/shared_state.h"
 #include "src/mem/sim_memory.h"
 #include "src/runtime/rng.h"
 #include "src/sim/engine.h"
@@ -31,10 +32,6 @@ constexpr double kCsGapNs = 25.0;  // widens the read..write window inside the C
 constexpr uint64_t kTimedEvery = 3;
 constexpr double kTortureTimeoutNs = 120.0;
 
-struct alignas(64) PaddedLine {
-  mem::SimMemory::Atomic<uint64_t> value{0};
-};
-
 // Everything one (lock, scenario) simulation produced, oracles not yet judged.
 struct RunOutcome {
   bool completed = false;
@@ -43,7 +40,7 @@ struct RunOutcome {
   std::string diagnostic;
   uint64_t overlaps = 0;     // CS entries observed with another thread already inside
   int max_concurrent = 1;    // peak threads inside the CS at once
-  uint64_t issued = 0;       // oracle-line increments completed
+  uint64_t issued = 0;       // oracle-line increments issued (see the thread loop)
   uint64_t recorded = 0;     // sum of oracle lines after the run
   double max_wait_ns = 0.0;  // longest single Acquire()/Execute() wait
   uint64_t total_ops = 0;
@@ -52,143 +49,91 @@ struct RunOutcome {
 
 RunOutcome TortureOnce(const TortureConfig& config, const std::string& lock_name,
                        const fault::FaultPlan& plan) {
-  const sim::Machine& machine = *config.machine;
   RunOutcome out;
+  harness::RunDriver driver({.caller = "RunTorture",
+                             .machine = config.machine,
+                             .num_threads = config.num_threads,
+                             .duration_ms = config.duration_ms,
+                             .seed = config.seed,
+                             .fault = plan,
+                             .watchdog = config.watchdog.Enabled()
+                                             ? config.watchdog
+                                             : DefaultTortureWatchdog(config.duration_ms)});
+  const int lock =
+      driver.AddLock(config.registry->Make(lock_name, config.hierarchy, config.params));
+  out.lock_levels = driver.lock(lock).levels();
+  // Abortable locks get timed driving on top of the untimed requests (see kTimedEvery
+  // above); combining locks may run the untimed requests' critical sections on the
+  // combiner's thread, so delegation itself is under the oracles.
+  const bool abortable = driver.lock(lock).abortable();
 
-  sim::Engine engine(machine.topology, machine.platform);
-  engine.SetWatchdog(config.watchdog.Enabled()
-                         ? config.watchdog
-                         : DefaultTortureWatchdog(config.duration_ms));
-  std::unique_ptr<fault::Injector> injector;
-  if (plan.AnyEnabled()) {
-    injector =
-        std::make_unique<fault::Injector>(plan, config.seed, machine.topology.num_cpus());
-    engine.SetFaultHook(injector.get());
-  }
-  auto lock = config.registry->Make(lock_name, config.hierarchy, config.params);
-  out.lock_levels = lock->levels();
-  // Combining locks are tortured through their closure path so delegation itself is
-  // under the oracles (see the header's oracle list); abortable locks additionally get
-  // timed driving on the classic path (see kTimedEvery above).
-  const bool closure_path = lock->combining();
-  const bool abortable = lock->abortable();
+  std::array<harness::PaddedLine, kOracleLines> oracle;
+  std::array<harness::PaddedLine, kNoiseLines> noise;
 
-  std::vector<std::unique_ptr<PaddedLine>> oracle;
-  for (int i = 0; i < kOracleLines; ++i) {
-    oracle.push_back(std::make_unique<PaddedLine>());
-  }
-  std::vector<std::unique_ptr<PaddedLine>> noise;
-  for (int i = 0; i < kNoiseLines; ++i) {
-    noise.push_back(std::make_unique<PaddedLine>());
-  }
-
-  const sim::Time end = sim::PsFromNs(config.duration_ms * 1e6);
   // Host-side oracle state: fibers run on one host thread and switch only at
   // simulated accesses, so plain variables observe every interleaving exactly.
   int in_cs = 0;
-  std::vector<uint64_t> ops(config.num_threads, 0);
 
-  for (int t = 0; t < config.num_threads; ++t) {
-    // Same churn formula as the benchmark harness (src/harness/lock_bench.cc), so a
-    // scenario means the same perturbation in both harnesses.
-    sim::Time thread_end = end;
-    if (plan.churn.enabled) {
-      runtime::Xoshiro256 churn_rng(plan.seed * 0x9e3779b97f4a7c15ull + 0xC0FFEEull +
-                                    static_cast<uint64_t>(t));
-      if (churn_rng.NextDouble() < plan.churn.stop_fraction) {
-        thread_end =
-            static_cast<sim::Time>(static_cast<double>(end) * plan.churn.stop_point);
+  auto thread_body = [&](int t, runtime::Xoshiro256& rng) {
+    auto& eng = sim::Engine::Current();
+    const sim::Time stop = driver.StopTime(t);
+    uint64_t attempts = 0;
+    while (eng.Now() < stop) {
+      eng.Work(kThinkNs * (0.5 + rng.NextDouble()));
+      const sim::Time acquire_begin = eng.Now();
+      std::optional<double> budget_ns;
+      if (abortable && ++attempts % kTimedEvery == 0) {
+        budget_ns = kTortureTimeoutNs;
       }
-    }
-    engine.Spawn(t, [&, t, thread_end] {
-      runtime::Xoshiro256 rng(config.seed * 0x9e3779b97f4a7c15ull + t);
-      auto ctx = lock->MakeContext();
-      auto& eng = sim::Engine::Current();
-      uint64_t attempts = 0;
-      while (eng.Now() < thread_end) {
-        eng.Work(kThinkNs * (0.5 + rng.NextDouble()));
-        const sim::Time acquire_begin = eng.Now();
-        if (closure_path) {
-          // Count the increment as issued at announce time, not at execution: a
-          // combiner that acknowledges a closure without running it (the
-          // mut-ccsynch-lost-closure bug) then shows up as issued > recorded.
-          auto& line = oracle[rng.NextBounded(kOracleLines)]->value;
-          ++out.issued;
-          auto body = [&] {
-            out.max_wait_ns =
-                std::max(out.max_wait_ns, sim::NsFromPs(eng.Now() - acquire_begin));
-            ++in_cs;
-            if (in_cs > 1) {
-              ++out.overlaps;
-              out.max_concurrent = std::max(out.max_concurrent, in_cs);
-            }
-            const uint64_t v = line.Load(std::memory_order_relaxed);
-            eng.Work(kCsGapNs);
-            line.Store(v + 1, std::memory_order_relaxed);
-            --in_cs;
-          };
-          lock->Execute(*ctx, body);
-          ++ops[t];
-          eng.ReportProgress();
-          continue;
-        }
-        if (abortable && ++attempts % kTimedEvery == 0) {
-          if (!lock->TryAcquireFor(*ctx, kTortureTimeoutNs)) {
-            // Timed out: skip the critical section, no oracle increment. Deliberately
-            // no ReportProgress — timeouts alone are not progress, so a queue stranded
-            // by a buggy abandon path (mut-mcst-leak-node) still trips the watchdog
-            // even while the timed threads keep cycling.
-            continue;
-          }
-        } else {
-          lock->Acquire(*ctx);
-        }
-        out.max_wait_ns =
-            std::max(out.max_wait_ns, sim::NsFromPs(eng.Now() - acquire_begin));
-        // Mutual-exclusion oracle: we are "inside" from here to the decrement below.
+      // Lost-update oracle: each critical section increments one oracle line with a
+      // deliberately non-atomic read-gap-write. An untimed request picks its line and
+      // counts the increment as issued when it is announced, not when it runs: a
+      // combiner that acknowledges a closure without running it (the
+      // mut-ccsynch-lost-closure bug) then shows up as issued > recorded. A timed
+      // request does both only once it holds the lock, since a timeout issues nothing.
+      mem::SimMemory::Atomic<uint64_t>* line = nullptr;
+      auto issue = [&] {
+        line = &oracle[rng.NextBounded(kOracleLines)].value;
+        ++out.issued;
+      };
+      if (!budget_ns) {
+        issue();
+      }
+      auto body = [&] {
+        out.max_wait_ns = std::max(out.max_wait_ns, sim::NsFromPs(eng.Now() - acquire_begin));
+        // Mutual-exclusion oracle: "inside" from here to the decrement below.
         ++in_cs;
         if (in_cs > 1) {
           ++out.overlaps;
           out.max_concurrent = std::max(out.max_concurrent, in_cs);
         }
-        // Lost-update oracle: deliberately non-atomic read-gap-write. Under a correct
-        // lock the CS serializes these, so no increment can be lost.
-        auto& line = oracle[rng.NextBounded(kOracleLines)]->value;
-        const uint64_t v = line.Load(std::memory_order_relaxed);
-        eng.Work(kCsGapNs);
-        line.Store(v + 1, std::memory_order_relaxed);
-        ++out.issued;
-        --in_cs;
-        lock->Release(*ctx);
-        ++ops[t];
-        eng.ReportProgress();  // one critical section completed
-      }
-    });
-  }
-  if (plan.interference.enabled) {
-    // Interference replicated from the benchmark harness, but hammering a separate
-    // noise pool (see kNoiseLines above).
-    runtime::Xoshiro256 place_rng(plan.seed ^ 0xa24baed4963ee407ull);
-    for (int i = 0; i < plan.interference.threads; ++i) {
-      const int cpu = static_cast<int>(
-          place_rng.NextBounded(static_cast<uint64_t>(machine.topology.num_cpus())));
-      engine.Spawn(cpu, [&, i] {
-        runtime::Xoshiro256 rng(plan.seed * 0x9e3779b97f4a7c15ull + 0xBADCAFEull +
-                                static_cast<uint64_t>(i));
-        auto& eng = sim::Engine::Current();
-        while (eng.Now() < end) {
-          eng.Work(plan.interference.gap_ns);
-          for (int b = 0; b < plan.interference.lines_per_burst; ++b) {
-            noise[rng.NextBounded(kNoiseLines)]->value.FetchAdd(
-                1, std::memory_order_relaxed);
-          }
+        if (line == nullptr) {
+          issue();
         }
-      });
+        const uint64_t v = line->Load(std::memory_order_relaxed);
+        eng.Work(kCsGapNs);
+        line->Store(v + 1, std::memory_order_relaxed);
+        --in_cs;
+      };
+      if (!driver.CriticalSection(t, lock, budget_ns, body)) {
+        // Timed out: deliberately no ReportProgress — timeouts alone are not progress,
+        // so a queue stranded by a buggy abandon path (mut-mcst-leak-node) still trips
+        // the watchdog even while the timed threads keep cycling.
+        continue;
+      }
+      ++out.total_ops;
+      eng.ReportProgress();  // one critical section completed
     }
-  }
+  };
+  // Interference hammers a separate noise pool (see kNoiseLines above).
+  auto hammer = [&](runtime::Xoshiro256& rng, int lines) {
+    for (int b = 0; b < lines; ++b) {
+      noise[rng.NextBounded(kNoiseLines)].value.FetchAdd(1, std::memory_order_relaxed);
+    }
+  };
 
   try {
-    engine.Run();
+    driver.Run(thread_body, hammer);
     out.completed = true;
   } catch (const sim::SimWatchdogError& error) {
     out.error_kind = "watchdog";
@@ -204,10 +149,7 @@ RunOutcome TortureOnce(const TortureConfig& config, const std::string& lock_name
   }
 
   for (const auto& line : oracle) {
-    out.recorded += line->value.Load(std::memory_order_relaxed);
-  }
-  for (uint64_t n : ops) {
-    out.total_ops += n;
+    out.recorded += line.value.Load(std::memory_order_relaxed);
   }
   return out;
 }
@@ -300,14 +242,6 @@ TortureReport RunTorture(const TortureConfig& config) {
   if (config.lock_names.empty()) {
     throw std::invalid_argument("TortureConfig.lock_names is empty");
   }
-  if (config.num_threads < 1 ||
-      config.num_threads > config.machine->topology.num_cpus()) {
-    throw std::invalid_argument("num_threads out of range for machine");
-  }
-  // A run needs a positive, finite span of virtual time.
-  if (!(config.duration_ms > 0.0 && std::isfinite(config.duration_ms))) {
-    throw std::invalid_argument("RunTorture: duration_ms must be positive and finite");
-  }
   std::vector<fault::Scenario> scenarios =
       config.scenarios.empty() ? fault::TortureMatrix(config.seed) : config.scenarios;
   // Fail fast (and outside the workers) on unknown names; also snapshots fairness.
@@ -327,7 +261,8 @@ TortureReport RunTorture(const TortureConfig& config) {
 
   // Every (lock, scenario) run is a self-contained deterministic simulation: shard
   // them across host workers, each writing only its own slot, then judge serially in
-  // deterministic lock-major order (docs/PARALLEL_SWEEP.md determinism argument).
+  // deterministic lock-major order (docs/PARALLEL_SWEEP.md determinism argument). A
+  // thread count or duration the run driver rejects throws out of ParallelFor.
   const size_t num_scenarios = scenarios.size();
   std::vector<RunOutcome> outcomes(config.lock_names.size() * num_scenarios);
   exec::Executor executor(config.jobs);

@@ -28,10 +28,11 @@
 //                       the unperturbed scenario (every injector legitimately stalls
 //                       or stretches individual waits in a short run).
 //
-// Combining locks (combining() == true) are driven through their closure path —
-// Execute() with the oracle read-modify-write inside the closure — so delegation
-// itself is under test: a combiner that drops or double-runs an announced closure
-// trips the lost-update oracle, and a barging combiner trips mutual exclusion.
+// Runs are built on the harnesses' shared run driver (src/harness/run_driver.h), so
+// every untimed critical section goes through Execute() with the oracle
+// read-modify-write inside the closure, and delegation itself is under test on
+// combining locks: a combiner that drops or double-runs an announced closure trips
+// the lost-update oracle, and a barging combiner trips mutual exclusion.
 // Abortable locks (abortable() == true, docs/TIMEOUT.md) get timed driving: every
 // few acquisitions go through TryAcquireFor with a tight budget, so the abandon
 // path races real grants under every scenario — a releaser that strands waiters
@@ -133,7 +134,8 @@ struct TortureReport {
 };
 
 // Runs every configured lock under every scenario. Throws std::invalid_argument on an
-// unusable config (missing machine/registry/locks, unknown lock name).
+// unusable config (missing machine/registry/locks, unknown lock name, or a thread count
+// or duration the run driver rejects).
 TortureReport RunTorture(const TortureConfig& config);
 
 // Human-readable report: per-lock verdicts with per-violation detail lines; `verbose`

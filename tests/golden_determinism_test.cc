@@ -1,7 +1,9 @@
 // Determinism canary: pins the FNV-1a hash of the full transcript of a small fixed
 // sweep — curves plus their observability/robustness sidecars, the selection, and a
 // faulted + unfaulted single cell on both paper platforms — and of two 1024-CPU cells
-// as golden constants.
+// as golden constants. Two later captures pin cells against the harness that still
+// ran ordinary locks through Acquire/Release, and a service point plus two
+// pool-allocating churned cells that must not depend on the process's history.
 //
 // The repo's determinism invariant ("same program + same seed => identical virtual-time
 // results") is what makes hot-path refactors of the engine safe to land: any change
@@ -21,12 +23,17 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/clof/registry.h"
+#include "src/clof/timeout.h"
+#include "src/combining/combining.h"
 #include "src/fault/scenarios.h"
 #include "src/harness/lock_bench.h"
+#include "src/harness/service_bench.h"
+#include "src/runtime/rng.h"
 #include "src/select/scripted_bench.h"
 #include "src/sim/platform.h"
 #include "src/topo/topology.h"
@@ -186,6 +193,86 @@ uint64_t CxlPod1024Transcript() {
   return t.hash();
 }
 
+// The two Arm cells that used to be run twice, once through Lock::Execute and once
+// through Acquire/Release, to show the closure shim issues the classic access
+// sequence. Every harness now runs its critical sections through Execute, so the cells
+// are pinned against the capture of the Acquire/Release path instead.
+uint64_t ArmExecuteShimTranscript() {
+  const sim::Machine machine = sim::Machine::PaperArm();
+  harness::BenchConfig config;
+  config.spec.machine = &machine;
+  config.spec.hierarchy = topo::Hierarchy::Select(machine.topology, {"numa", "system"});
+  config.spec.registry = &SimRegistry(false);
+  config.spec.seed = 7;
+  config.num_threads = 8;
+  config.duration_ms = 0.2;
+
+  Transcript t;
+  for (const char* name : {"tkt-mcs", "hmcs"}) {
+    config.lock_name = name;
+    HashBenchResult(t, harness::RunLockBench(config));
+  }
+  return t.hash();
+}
+
+void HashServiceResult(Transcript& t, const harness::ServiceBenchResult& r) {
+  t.U64(r.total_ops);
+  t.Double(r.throughput_per_us);
+  t.Double(r.offered_load_per_us);
+  t.Double(r.completion_ratio);
+  t.U64(r.dropped_requests);
+  t.Double(r.drop_rate);
+  t.Double(r.request_p50_ns);
+  t.Double(r.request_p99_ns);
+  t.Double(r.request_p999_ns);
+  t.U64(r.sites.size());
+  for (const auto& site : r.sites) {
+    t.Str(site.site);
+    t.Str(site.lock_name);
+    t.U64(site.ops);
+    t.Double(site.acquire_p50_ns);
+    t.Double(site.acquire_p99_ns);
+    t.Double(site.acquire_p999_ns);
+    t.U64(site.dropped);
+    t.Double(site.share_observed);
+  }
+}
+
+// One history-sensitive workload: a saturated MiniProxy service point, whose threads
+// finish at different times while others still make contexts, plus two churned cells
+// whose locks allocate queue nodes from a pool mid-run (MCS-T under a deadline and
+// CC-Synch), while the churned threads are long done.
+uint64_t HistorySensitiveTranscript(const sim::Machine& machine, const Registry& registry) {
+  const auto hierarchy = topo::Hierarchy::Select(machine.topology, {"numa", "system"});
+  Transcript t;
+
+  harness::ServiceBenchConfig service;
+  service.spec.machine = &machine;
+  service.spec.hierarchy = hierarchy;
+  service.spec.registry = &SimRegistry(false);
+  service.service = workload::ServiceProfile::MiniProxy(8);
+  service.site_locks = {"mcs-hem", "clh-hem", "mcs-clh"};
+  service.num_threads = 127;
+  service.duration_ms = 0.25;
+  service.offered_load_per_us = 12.0;
+  HashServiceResult(t, harness::RunServiceBench(service));
+
+  harness::BenchConfig cell;
+  cell.spec.machine = &machine;
+  cell.spec.hierarchy = hierarchy;
+  cell.spec.registry = &registry;
+  cell.spec.fault = fault::PlanFromSpec("churn", cell.spec.seed);
+  cell.num_threads = 32;
+  cell.duration_ms = 0.2;
+  cell.lock_name = "mcst-mcst";
+  cell.spec.deadline_ns = 400.0;
+  HashBenchResult(t, harness::RunLockBench(cell));
+  cell.lock_name = "ccsynch";
+  cell.spec.deadline_ns = 0.0;
+  HashBenchResult(t, harness::RunLockBench(cell));
+  return t.hash();
+}
+
 // Golden constants: the pre-refactor capture described in the header comment.
 constexpr uint64_t kArmSweepGolden = 0x881010769f3bdf0bull;
 constexpr uint64_t kX86SweepGolden = 0x0ed8e304be0aae85ull;
@@ -194,6 +281,12 @@ constexpr uint64_t kX86CellsGolden = 0x0df4c1e0649bc89eull;
 // Captured at commit 2437e69, the last engine with two ready queues, where
 // tests/scheduler_identity_test.cc still checked these cells heap == timing wheel.
 constexpr uint64_t kCxlPod1024CellsGolden = 0xff81b46ef8ea1bf6ull;
+// Captured at commit d884aef, where RunLockBench still ran these locks through
+// Acquire/Release.
+constexpr uint64_t kArmExecuteShimCellsGolden = 0xa10763c0181c2a0bull;
+// Captured once every harness kept its lock contexts until the run ended; at d884aef
+// the service point read 10.480, 10.496 and 10.488 /us over the three histories below.
+constexpr uint64_t kHistoryFreeGolden = 0xcd829340aeab2ec2ull;
 
 TEST(GoldenDeterminismTest, ArmSweepTranscriptMatchesCapture) {
   uint64_t actual = SweepTranscript(sim::Machine::PaperArm(), false);
@@ -218,6 +311,49 @@ TEST(GoldenDeterminismTest, X86FaultedAndUnfaultedCellsMatchCapture) {
 TEST(GoldenDeterminismTest, CxlPod1024FourLevelCellsMatchCapture) {
   uint64_t actual = CxlPod1024Transcript();
   EXPECT_EQ(actual, kCxlPod1024CellsGolden) << "actual 0x" << std::hex << actual;
+}
+
+TEST(GoldenDeterminismTest, ArmExecuteShimCellsMatchCapture) {
+  uint64_t actual = ArmExecuteShimTranscript();
+  EXPECT_EQ(actual, kArmExecuteShimCellsGolden) << "actual 0x" << std::hex << actual;
+}
+
+// A result must be a function of its configuration alone, never of what the host
+// thread ran before it: simulated lines are host addresses, so a block freed while the
+// engine runs and handed out again by malloc would carry the dead object's coherence
+// state into the new one. Runs the same workload fresh, after another service run, and
+// after heap churn that leaves the allocator's free lists in a different state.
+TEST(GoldenDeterminismTest, ServiceAndPoolCellsAreHistoryFree) {
+  const sim::Machine machine = sim::Machine::PaperArm();
+  const Registry registry =
+      timeout::WithTimeout(combining::WithCombining(SimRegistry(false), {}));
+  const uint64_t fresh = HistorySensitiveTranscript(machine, registry);
+
+  harness::ServiceBenchConfig light;
+  light.spec.machine = &machine;
+  light.spec.hierarchy = topo::Hierarchy::Select(machine.topology, {"numa", "system"});
+  light.spec.registry = &SimRegistry(false);
+  light.service = workload::ServiceProfile::MiniProxy(8);
+  light.site_locks = {"mcs-hem", "clh-hem", "mcs-clh"};
+  light.num_threads = 127;
+  light.duration_ms = 0.25;
+  light.offered_load_per_us = 4.0;
+  harness::RunServiceBench(light);
+  const uint64_t after_service = HistorySensitiveTranscript(machine, registry);
+
+  runtime::Xoshiro256 rng(2024);
+  std::vector<std::unique_ptr<char[]>> kept;
+  for (int i = 0; i < 2000; ++i) {
+    auto block = std::make_unique<char[]>(16 + rng.NextBounded(512));
+    if (rng.NextDouble() < 0.5) {
+      kept.push_back(std::move(block));  // the rest is freed at the end of the iteration
+    }
+  }
+  const uint64_t after_heap_churn = HistorySensitiveTranscript(machine, registry);
+
+  EXPECT_EQ(fresh, after_service);
+  EXPECT_EQ(fresh, after_heap_churn);
+  EXPECT_EQ(fresh, kHistoryFreeGolden) << "actual 0x" << std::hex << fresh;
 }
 
 }  // namespace

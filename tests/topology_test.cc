@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/runtime/rng.h"
@@ -105,7 +106,7 @@ TEST(TopologyTest, FromSpecErrors) {
 TEST(TopologyTest, FromSpecParsesWholeTokens) {
   // A number that only starts like one is an error, not its numeric prefix.
   for (const char* spec : {"t:0", "t:-4", "t:8x", "t:8;cache=2y", "t:8;numa=4.9", "t: 8",
-                           "t:+8", "t:8;a=", "t:", "t:99999999999", "t:8;a=0"}) {
+                           "t:+8", "t:8;a=", "t:", "t:99999999999", "t:8;a=0", "t:1025"}) {
     SCOPED_TRACE(spec);
     EXPECT_THROW(Topology::FromSpec(spec), std::invalid_argument);
   }
@@ -115,6 +116,16 @@ TEST(TopologyTest, FromSpecParsesWholeTokens) {
   } catch (const std::invalid_argument& error) {
     EXPECT_NE(std::string(error.what()).find("'2y'"), std::string::npos) << error.what();
   }
+  // A CPU count past the simulator's limit is refused before any per-CPU table is
+  // built (t:100000 would ask for a 10^10-byte sharing matrix); the limit itself parses.
+  try {
+    Topology::FromSpec("t:100000");
+    ADD_FAILURE() << "accepted t:100000";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(std::to_string(kMaxCpus)), std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(Topology::FromSpec("t:" + std::to_string(kMaxCpus)).num_cpus(), kMaxCpus);
 }
 
 // The test's own reading of a divisor spec: true when every number in `spec` is a whole
@@ -344,9 +355,20 @@ TEST(TopologyTest, SignaturePathHandlesNonPowerOfTwoFields) {
 TEST(TopologyTest, SignatureOverflowFallsBackToMatrix) {
   // 2048 CPUs and ten levels need 11 + (10 + 9 + ... + 1) = 66 signature bits — past
   // the 64-bit budget, so this topology must serve SharingLevel from the matrix. The
-  // laws have to hold identically; only the lookup path differs.
-  Topology t = Topology::FromSpec(
-      "deep2048:2048;l1=2;l2=4;l3=8;l4=16;l5=32;l6=64;l7=128;l8=256;l9=512;l10=1024");
+  // laws have to hold identically; only the lookup path differs. FromSpec refuses more
+  // than kMaxCpus CPUs, so the levels are built here as FromSpec would build
+  // "deep2048:2048;l1=2;l2=4;...;l10=1024": divisors 2..1024, then the system level.
+  std::vector<Level> levels;
+  for (int divisor = 2; divisor <= 2048; divisor *= 2) {
+    Level level{.name = divisor == 2048 ? "system" : "l" + std::to_string(levels.size() + 1),
+                .cpu_to_cohort = {},
+                .num_cohorts = 2048 / divisor};
+    for (int cpu = 0; cpu < 2048; ++cpu) {
+      level.cpu_to_cohort.push_back(cpu / divisor);
+    }
+    levels.push_back(std::move(level));
+  }
+  Topology t("deep2048", 2048, std::move(levels));
   ASSERT_EQ(t.num_cpus(), 2048);
   ASSERT_EQ(t.num_levels(), 11);
   ExpectPartitionLaws(t);

@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "src/clof/adaptive.h"
 #include "src/clof/registry.h"
 #include "src/clof/timeout.h"
+#include "src/combining/combining.h"
 #include "src/fault/scenarios.h"
 #include "src/sim/platform.h"
 #include "src/topo/topology.h"
@@ -193,6 +195,47 @@ TEST(TortureTest, FormatReportNamesVerdicts) {
   EXPECT_NE(text.find("mut-skip-unlock"), std::string::npos);
   EXPECT_NE(text.find("FLAGGED"), std::string::npos);
   EXPECT_NE(text.find("[none]"), std::string::npos);  // scenario tag in detail lines
+}
+
+uint64_t TextHash(const std::string& text) {
+  uint64_t hash = 14695981039346656037ull;  // FNV-1a
+  for (unsigned char c : text) {
+    hash ^= c;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+// clof_torture's default run at seed 1 and 0.1 ms (Arm, its full default hierarchy):
+// every mutant, then the genuine control set it builds. The reports are pinned against
+// a capture of the harness that ran non-combining locks through Acquire/Release, so
+// routing them through Lock::Execute must leave every verdict and count unchanged.
+constexpr uint64_t kMutantReportGolden = 0xe666b4562d4e5416ull;
+constexpr uint64_t kControlReportGolden = 0x6b37a68d0db60b40ull;
+
+TEST(TortureTest, DefaultReportsMatchCapture) {
+  auto machine = Arm();
+  TortureConfig config = BaseConfig(machine);
+  config.hierarchy =
+      topo::Hierarchy::Select(machine.topology, {"cache", "numa", "package", "system"});
+  config.registry = &MutantRegistry();
+  config.lock_names = MutantNames();
+  const std::string mutants = FormatTortureReport(RunTorture(config));
+
+  combining::CombiningOptions combining_options;
+  combining_options.hsynch_levels = {"cache"};
+  const Registry registry =
+      timeout::WithTimeout(combining::WithCombining(SimRegistry(false), combining_options));
+  config.registry = &registry;
+  config.lock_names = {"clh-clh-clh-clh", "hem-clh-clh-hem", "mcs-clh-clh-mcs",
+                       "tkt-clh-clh-mcs", "hmcs", "cna", "ccsynch", "hsynch-cache",
+                       "mcst-flat", "mcst-mcst-mcst-mcst"};
+  const std::string controls = FormatTortureReport(RunTorture(config));
+
+  EXPECT_EQ(TextHash(mutants), kMutantReportGolden)
+      << "actual 0x" << std::hex << TextHash(mutants) << "\n" << mutants;
+  EXPECT_EQ(TextHash(controls), kControlReportGolden)
+      << "actual 0x" << std::hex << TextHash(controls) << "\n" << controls;
 }
 
 TEST(TortureTest, RejectsUnusableConfigs) {
