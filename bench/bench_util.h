@@ -75,8 +75,13 @@ class Flags {
 
   bool Has(const std::string& name) const { return values_.count(name) != 0; }
 
+  // --name or --name=true, false when absent or --name=false.
   bool GetBool(const std::string& name) const {
-    return Has(name) && values_.at(name) != "false";
+    const std::string value = GetString(name, "false");
+    if (value != "true" && value != "false") {
+      Fail(Expected(name, "no value, true or false"));
+    }
+    return value == "true";
   }
 
   std::string GetString(const std::string& name, const std::string& fallback) const {

@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
                      {"machine", "levels", "threads", "duration_ms", "seed", "jobs", "H",
                       "top", "quick", "check"});
   const bool quick = flags.GetBool("quick");
+  const bool check = flags.GetBool("check");
   const sim::Machine machine = bench::ParseMachine(flags);
 
   // Default hierarchies keep the sweep tractable: depth 3 is 64 generated
@@ -168,7 +169,7 @@ int main(int argc, char** argv) {
               best_classic->name.c_str(), classic_tput,
               classic_tput > 0.0 ? 100.0 * (combining_tput / classic_tput - 1.0) : 0.0);
 
-  if (flags.GetBool("check")) {
+  if (check) {
     for (const auto& name : combining_names) {
       if (result.Quarantined(name)) {
         std::fprintf(stderr, "CHECK FAILED: combining lock %s was quarantined\n",

@@ -15,10 +15,13 @@
 # A torture smoke stage (clof_torture, short duration) runs after tier-1: the eleven
 # mutant locks must be flagged and the genuine control set — including the combining
 # locks and the abortable MCS-T timeout family — must stay clean, so a harness or
-# oracle regression fails the ladder even when the unit tests pass. An adaptive smoke stage follows:
-# bench/adaptive_ramp with an explicit LC/HC pair self-checks the 10% tracking
-# envelope (docs/ADAPTIVE.md) and exits nonzero when the facade stops riding the
-# winning inner lock. A service smoke stage runs the multi-lock scenario
+# oracle regression fails the ladder even when the unit tests pass. An adaptive smoke
+# stage follows: `clof_bench --adaptive --check` with an explicit LC/HC pair holds the
+# facade to the 10% tracking envelope (docs/ADAPTIVE.md) at both ends of a four-point
+# ramp, and must print the same bytes with and without --seed=42. A robustness smoke
+# stage runs `--sweep --robustness=2` (docs/FAULT_INJECTION.md), the re-ranking under
+# the fault matrix, at --jobs=1 and the default, and fails on any byte difference. A
+# service smoke stage runs the multi-lock scenario
 # (docs/SERVICE.md) with --check: per-site selection must install different
 # compositions at different sites and hold its ground against the
 # single-global-winner baseline on the saturation curve. It runs four ways (--jobs=1
@@ -69,12 +72,6 @@ torture_smoke() {
   ./build/tools/clof_torture --duration_ms=0.1 --seed=1
 }
 
-adaptive_smoke() {
-  # Quick contention ramp with a fixed pair: the binary exits nonzero when the
-  # adaptive facade falls outside the 10% tracking envelope at either ramp end.
-  ./build/bench/adaptive_ramp --quick --lc=tkt-tkt-tkt --hc=mcs-mcs-mcs
-}
-
 # Runs `clof_bench BASE EXTRA` once per EXTRA argument (a space-separated flag list,
 # possibly empty) and fails unless every run exits 0 and all of them print the first
 # run's bytes.
@@ -96,6 +93,20 @@ same_bytes() {
   cat "${tmp}/0.txt"
   rm -rf "${tmp}"
   return "${status}"
+}
+
+adaptive_smoke() {
+  # A four-point contention ramp with a fixed pair: --check exits nonzero when the
+  # adaptive facade falls outside the 10% tracking envelope at either ramp end.
+  same_bytes "--adaptive --lc=tkt-tkt-tkt --hc=mcs-mcs-mcs --levels=cache,numa,system
+              --threads=1,16,48,127 --check" "" "--seed=42"
+}
+
+robustness_smoke() {
+  # A small sweep re-ranked under the fault matrix: the perturbed cells run on the
+  # executor, so the ranking must not depend on the worker count.
+  same_bytes "--sweep --machine=arm --levels=numa,system --threads=1,4,16 --duration_ms=0.2
+              --robustness=2" "--jobs=1" ""
 }
 
 service_smoke() {
@@ -195,6 +206,7 @@ perf_stage() {
 run_stage "tier-1 (default preset)" tier1
 run_stage "torture smoke" torture_smoke
 run_stage "adaptive smoke" adaptive_smoke
+run_stage "robustness smoke" robustness_smoke
 run_stage "service smoke" service_smoke
 run_stage "combining smoke" combining_smoke
 run_stage "timeout smoke" timeout_smoke

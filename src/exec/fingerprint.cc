@@ -39,13 +39,15 @@ uint64_t Fnv1a(std::string_view bytes) {
   return hash;
 }
 
+std::string Hex16(uint64_t value) {
+  char buffer[17];
+  std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, value);
+  return buffer;
+}
+
 uint64_t Fingerprint::Hash() const { return Fnv1a(text_); }
 
-std::string Fingerprint::HashHex() const {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, Hash());
-  return std::string(buffer);
-}
+std::string Fingerprint::HashHex() const { return Hex16(Hash()); }
 
 void AppendTopology(Fingerprint& fp, const topo::Topology& topology) {
   fp.Add("topo.name", topology.name());

@@ -32,8 +32,12 @@ namespace clof::exec {
 // sidecars (p99/p999 acquire latency, starved threads).
 inline constexpr int kCellSchemaVersion = 2;
 
-// FNV-1a 64 over `bytes`: the fingerprint hash, and the result cache's header checksum.
+// FNV-1a 64 over `bytes`: the fingerprint hash, and the record checksum of the result
+// cache and the sweep journal.
 uint64_t Fnv1a(std::string_view bytes);
+
+// `value` as 16 lowercase hex digits, the on-disk spelling of hashes and checksums.
+std::string Hex16(uint64_t value);
 
 class Fingerprint {
  public:

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -26,12 +25,6 @@ const std::string& Magic() {
   static const std::string magic =
       "clof-cell-cache v" + std::to_string(kCellSchemaVersion) + " ";
   return magic;
-}
-
-std::string Hex16(uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, value);
-  return buffer;
 }
 
 // Parses all of `text` as an unsigned integer in `base`.

@@ -6,7 +6,7 @@
 namespace clof::exec {
 namespace {
 
-constexpr char kHeader[] = "clof-sweep-journal v1";
+constexpr char kHeader[] = "clof-sweep-journal v2";
 
 // Record text must stay one line: escape the only characters the message/diagnostic
 // fields can contain that would break line- or field-framing.
@@ -105,18 +105,20 @@ SweepJournal::SweepJournal(std::string path) : path_(std::move(path)), file_(pat
       intact = pos;
       continue;
     }
-    // "<len> <payload>" with len the exact payload byte count: any prefix truncation
-    // (even one landing on a parsable shorter token) fails the length check.
-    const size_t space = line.find(' ');
-    if (space == std::string::npos) {
-      break;
-    }
+    // "<len> <sum16> <payload>": any prefix truncation (even one landing on a parsable
+    // shorter token) fails the length check, and any changed byte the checksum.
+    size_t at = 0;
+    std::string length_text, sum;
     int declared = 0;
-    if (!ParseInt(line.substr(0, space), &declared) || declared < 0 ||
-        line.size() - space - 1 != static_cast<size_t>(declared)) {
+    if (!NextToken(line, &at, &length_text) || !NextToken(line, &at, &sum) ||
+        !ParseInt(length_text, &declared) || declared < 0 ||
+        line.size() - at != static_cast<size_t>(declared)) {
       break;
     }
-    const std::string payload = line.substr(space + 1);
+    const std::string payload = line.substr(at);
+    if (Hex16(Fnv1a(payload)) != sum) {
+      break;
+    }
     size_t cursor = 0;
     std::string tag, hash, lock_name, threads_text;
     Entry entry;
@@ -211,7 +213,8 @@ void SweepJournal::Record(const Fingerprint& fp, const std::string& lock_name,
               " " + f.kind + " " + Escape(f.message) + "\t" + Escape(f.diagnostic);
   }
   // One append per record; like the cache, persistence is best-effort, never a failure.
-  file_.Append(std::to_string(payload.size()) + " " + payload + "\n");
+  file_.Append(std::to_string(payload.size()) + " " + Hex16(Fnv1a(payload)) + " " + payload +
+               "\n");
   Entry entry;
   entry.lock_name = lock_name;
   entry.num_threads = num_threads;

@@ -22,12 +22,14 @@
 // the file is a private run artifact, not a shared cache.
 //
 // On-disk format (text, one record per line):
-//   clof-sweep-journal v1
-//   <len> ok <hash16> <lock> <threads> <6 hex-float payload values>
-//   <len> fail <hash16> <lock> <threads> <kind> <escaped-message>\t<escaped-diagnostic>
-// `len` is the exact byte count of the rest of the line (after the single space
-// following it, up to but excluding the newline). A record whose length or newline is
-// missing — a torn final append — is discarded along with everything after it.
+//   clof-sweep-journal v2
+//   <len> <sum16> ok <hash16> <lock> <threads> <6 hex-float payload values>
+//   <len> <sum16> fail <hash16> <lock> <threads> <kind> <escaped-message>\t<escaped-diagnostic>
+// The payload is the rest of the line after `<sum16> `, up to but excluding the
+// newline; `len` is its exact byte count and `sum16` its FNV-1a 64 checksum (Fnv1a,
+// Hex16). A record whose length, checksum or newline is wrong — a torn final append or
+// a flipped bit — ends the valid prefix: it is discarded along with everything after
+// it. A v1 journal, whose records carry no checksum, reads as foreign and restarts.
 #ifndef CLOF_SRC_EXEC_SWEEP_JOURNAL_H_
 #define CLOF_SRC_EXEC_SWEEP_JOURNAL_H_
 

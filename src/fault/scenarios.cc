@@ -1,6 +1,5 @@
 #include "src/fault/scenarios.h"
 
-#include <sstream>
 #include <stdexcept>
 
 namespace clof::fault {
@@ -26,7 +25,9 @@ void EnableInjector(FaultPlan& plan, const std::string& name) {
     plan.hetero.enabled = true;
     plan.interference.enabled = true;
     plan.churn.enabled = true;
-  } else if (name != "none" && !name.empty()) {
+  } else if (name.empty()) {
+    throw std::invalid_argument("empty fault injector name (a stray comma?)");
+  } else if (name != "none") {
     throw std::invalid_argument("unknown fault injector: " + name +
                                 " (want preempt|hetero|interference|churn|all|none)");
   }
@@ -60,12 +61,18 @@ std::vector<Scenario> TortureMatrix(uint64_t seed) {
 
 FaultPlan PlanFromSpec(const std::string& spec, uint64_t seed) {
   FaultPlan plan = BasePlan(seed);
-  std::stringstream stream(spec);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
+  for (size_t begin = 0;;) {
+    const size_t comma = spec.find(',', begin);
+    const std::string token = spec.substr(begin, comma - begin);
+    if (token == "none" && spec != token) {
+      throw std::invalid_argument("'none' cannot be combined with other injectors");
+    }
     EnableInjector(plan, token);
+    if (comma == std::string::npos) {
+      return plan;
+    }
+    begin = comma + 1;
   }
-  return plan;
 }
 
 }  // namespace clof::fault

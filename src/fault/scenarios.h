@@ -30,7 +30,8 @@ std::vector<Scenario> TortureMatrix(uint64_t seed);
 
 // Builds a plan from a comma-separated injector list: any of "preempt", "hetero",
 // "interference", "churn", or the shorthands "all" / "storm" (every injector) and
-// "none" (empty plan). Throws std::invalid_argument on an unknown name.
+// "none" (empty plan, only as the whole spec). Throws std::invalid_argument on an
+// unknown name, an empty token (so on an empty spec too), or "none" in a list.
 FaultPlan PlanFromSpec(const std::string& spec, uint64_t seed);
 
 }  // namespace clof::fault

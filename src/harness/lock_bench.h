@@ -63,7 +63,7 @@ struct BenchResult {
   // rate: HC-best compositions win because it is high at the low levels.
   double HandoverLocalityAt(int topo_level) const;
   // Virtual-time Acquire() latency (contended and uncontended alike).
-  trace::LatencyHistogram acquire_latency;
+  trace::LatencySummary acquire_latency;
   // The lock's own per-hierarchy-level counters (empty for baselines; see LevelStats).
   std::vector<LevelStats> lock_level_stats;
   // Point-in-virtual-time annotations the lock recorded (Lock::Markers(); e.g. the
@@ -73,8 +73,7 @@ struct BenchResult {
 
   // --- Robustness (docs/FAULT_INJECTION.md) ---
   // Exact nearest-rank percentiles (runtime::Percentile) over the raw per-acquire
-  // latency samples, in nanoseconds; the histogram above holds the same data at
-  // power-of-two bucket resolution. Collected on every run, faulted or not.
+  // latency samples, in nanoseconds. Collected on every run, faulted or not.
   double acquire_p50_ns = 0.0;
   double acquire_p99_ns = 0.0;
   double acquire_p999_ns = 0.0;

@@ -64,52 +64,14 @@ void TraceBuffer::Clear() {
   recorded_ = 0;
 }
 
-namespace {
-
-int BucketIndex(sim::Time duration_ps) {
-  int index = 0;
-  while (duration_ps > 1 && index < LatencyHistogram::kBuckets - 1) {
-    duration_ps >>= 1;
-    ++index;
-  }
-  return index;
-}
-
-}  // namespace
-
-void LatencyHistogram::Record(sim::Time duration_ps) {
-  ++buckets_[static_cast<size_t>(BucketIndex(duration_ps))];
+void LatencySummary::Record(sim::Time duration_ps) {
   ++count_;
   total_ps_ += duration_ps;
   max_ps_ = std::max(max_ps_, duration_ps);
 }
 
-void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  for (int i = 0; i < kBuckets; ++i) {
-    buckets_[static_cast<size_t>(i)] += other.buckets_[static_cast<size_t>(i)];
-  }
-  count_ += other.count_;
-  total_ps_ += other.total_ps_;
-  max_ps_ = std::max(max_ps_, other.max_ps_);
-}
-
-double LatencyHistogram::MeanNs() const {
+double LatencySummary::MeanNs() const {
   return count_ == 0 ? 0.0 : sim::NsFromPs(total_ps_) / static_cast<double>(count_);
-}
-
-double LatencyHistogram::PercentileNs(double p) const {
-  if (count_ == 0) {
-    return 0.0;
-  }
-  const auto target = static_cast<uint64_t>(p * static_cast<double>(count_));
-  uint64_t seen = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    seen += buckets_[static_cast<size_t>(i)];
-    if (seen >= target && seen > 0) {
-      return sim::NsFromPs(sim::Time{1} << (i + 1));  // bucket upper bound
-    }
-  }
-  return sim::NsFromPs(max_ps_);
 }
 
 }  // namespace clof::trace

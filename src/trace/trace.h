@@ -11,7 +11,7 @@
 //    and forwards events when a sink is installed, so tracing is zero-cost when off;
 //  * TraceBuffer — a bounded ring-buffer sink (oldest events drop first) that
 //    chrome_export.h turns into Chrome trace_event JSON for Perfetto;
-//  * LatencyHistogram — power-of-two buckets over virtual-time durations, used by the
+//  * LatencySummary — count, total and maximum of virtual-time durations, used by the
 //    harness for lock-acquisition latency.
 //
 // Determinism is a hard requirement: observers consume metadata the engine computed
@@ -20,7 +20,6 @@
 #ifndef CLOF_SRC_TRACE_TRACE_H_
 #define CLOF_SRC_TRACE_TRACE_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -134,26 +133,18 @@ class TraceBuffer : public EventSink {
   uint64_t recorded_ = 0;
 };
 
-// Histogram over virtual-time durations with power-of-two picosecond buckets: bucket i
-// counts durations in [2^i, 2^(i+1)) ps (bucket 0 also takes 0). 64 buckets cover the
-// full sim::Time range.
-class LatencyHistogram {
+// Count, total and maximum of virtual-time durations. Percentiles are not kept here:
+// the harness computes exact ones from the raw samples (BenchResult::acquire_p99_ns).
+class LatencySummary {
  public:
-  static constexpr int kBuckets = 64;
-
   void Record(sim::Time duration_ps);
-  void Merge(const LatencyHistogram& other);
 
   uint64_t count() const { return count_; }
   sim::Time total_ps() const { return total_ps_; }
   sim::Time max_ps() const { return max_ps_; }
   double MeanNs() const;
-  // Upper bound (ns) of the bucket containing the p-th percentile (0 < p <= 1).
-  double PercentileNs(double p) const;
-  const std::array<uint64_t, kBuckets>& buckets() const { return buckets_; }
 
  private:
-  std::array<uint64_t, kBuckets> buckets_{};
   uint64_t count_ = 0;
   sim::Time total_ps_ = 0;
   sim::Time max_ps_ = 0;

@@ -258,15 +258,16 @@ TEST(AdaptiveLockTest, QuietDetectorNeverSwitches) {
 }
 
 // The acceptance envelope, in miniature: at the quiet end the facade rides the LC
-// lock, at the contended end the HC lock, within 10% of each. bench/adaptive_ramp.cc
-// sweeps the full paper thread counts; this pins the two ends in the test suite.
+// lock, at the contended end the HC lock, within 10% of each. `clof_bench --adaptive
+// --check` holds a whole ramp to it; this pins the two ends in the test suite.
 TEST(AdaptiveLockTest, TracksTheWinningInnerLockWithinTenPercent) {
   auto machine = sim::Machine::PaperArm();
   auto options = PairOptions();
   const Registry registry = adaptive::WithAdaptive(SimRegistry(false), options);
 
   // The high end runs long enough for the pre-switch transient (one detector window
-  // on the LC lock) to amortize — the same reason adaptive_ramp defaults to 1ms.
+  // on the LC lock) to amortize — the same reason `clof_bench --adaptive` defaults to
+  // 1ms cells.
   auto run = [&](const std::string& name, int threads, double duration_ms) {
     auto config = FacadeBench(machine, registry, threads, duration_ms);
     config.lock_name = name;

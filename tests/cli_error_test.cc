@@ -1,7 +1,8 @@
-// Usage errors of the command-line binaries. Each malformed command line in the table
-// must exit 2 before any simulation starts, print nothing on stdout, and name the
-// offending flag on the first line of stderr. tests/CMakeLists.txt passes in the
-// binaries' paths.
+// The exit statuses of the command-line binaries. Each malformed command line in the
+// table must exit 2 before any simulation starts, print nothing on stdout, and name the
+// offending flag on the first line of stderr. A self-check (--check) that fails must
+// exit 1 with CHECK FAILED on stderr, and pass with exit 0 when its run holds.
+// tests/CMakeLists.txt passes in the binaries' paths.
 #include <fcntl.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -88,9 +89,18 @@ TEST(CliErrorTest, MalformedCommandLinesExitTwoNamingTheFlag) {
       {CLOF_BENCH, {"--deadline=100", "--discover"}, "--deadline"},
       {CLOF_BENCH, {"--torture"}, "--torture"},
       {CLOF_BENCH, {}, "--lock"},  // no mode: the error lists the mode flags
+      // A boolean flag takes no value, true or false: --combining=0 must not enroll.
+      {CLOF_BENCH, {"--sweep", "--levels=numa,system", "--combining=0"}, "--combining"},
+      {CLOF_BENCH, {"--service", "--quick", "--deadline=2000", "--check=no"}, "--check"},
+      // A fault spec holds no empty injector name and no `none` beside others.
+      {CLOF_BENCH, {"--lock=tkt-tkt", "--fault=,"}, "--fault"},
+      {CLOF_BENCH, {"--lock=tkt-tkt", "--fault=preempt,,churn"}, "--fault"},
+      {CLOF_BENCH, {"--lock=tkt-tkt", "--fault=none,preempt"}, "--fault"},
       {CLOF_TORTURE, {"--lock=hmcs"}, "--lock"},
       {CLOF_TORTURE, {"--machine=x68"}, "--machine"},
+      {CLOF_TORTURE, {"--scenarios=preempt,,churn"}, "--scenarios"},
       {FIG9_SWEEP, {"--quik"}, "--quik"},
+      {FIG9_SWEEP, {"--quick=0"}, "--quick"},
   };
   for (const Case& c : cases) {
     std::string command = c.binary;
@@ -104,6 +114,26 @@ TEST(CliErrorTest, MalformedCommandLinesExitTwoNamingTheFlag) {
     const std::string first_line = outcome.err.substr(0, outcome.err.find('\n'));
     EXPECT_NE(first_line.find(c.named), std::string::npos) << outcome.err;
   }
+}
+
+TEST(CliErrorTest, AdaptiveCheckFailsWhenTheFacadeStopsTracking) {
+  // --force_switch=1 toggles the facade's side on every release, so it pays a switch
+  // per operation and falls out of the tracking envelope. The same ramp without it
+  // keeps the envelope.
+  const std::vector<std::string> ramp = {"--adaptive", "--lc=tkt-tkt-tkt", "--hc=mcs-mcs-mcs",
+                                         "--levels=cache,numa,system", "--threads=1,127",
+                                         "--check"};
+  std::vector<std::string> thrashing = ramp;
+  thrashing.push_back("--force_switch=1");
+  const Outcome failed = RunCommand(CLOF_BENCH, thrashing);
+  EXPECT_EQ(failed.exit_status, 1);
+  EXPECT_NE(failed.err.find("CHECK FAILED"), std::string::npos) << failed.err;
+  EXPECT_EQ(failed.out.find("check passed"), std::string::npos) << failed.out;
+
+  const Outcome passed = RunCommand(CLOF_BENCH, ramp);
+  EXPECT_EQ(passed.exit_status, 0) << passed.err;
+  EXPECT_EQ(passed.err, "");
+  EXPECT_NE(passed.out.find("adaptive check passed"), std::string::npos) << passed.out;
 }
 
 }  // namespace

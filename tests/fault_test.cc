@@ -7,9 +7,12 @@
 //    across worker counts and across the result cache, mirroring parallel_sweep_test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "src/fault/scenarios.h"
 #include "src/harness/lock_bench.h"
 #include "src/mem/sim_memory.h"
+#include "src/runtime/rng.h"
 #include "src/select/scripted_bench.h"
 #include "src/sim/engine.h"
 #include "src/sim/platform.h"
@@ -113,6 +117,75 @@ TEST(FaultScenariosTest, PlanFromSpecParsesInjectorLists) {
               all.churn.enabled);
   EXPECT_FALSE(fault::PlanFromSpec("none", 7).AnyEnabled());
   EXPECT_THROW(fault::PlanFromSpec("cosmic-rays", 7), std::invalid_argument);
+  // An empty token, or a `none` that shares the list, names no plan.
+  for (const char* spec : {"", ",", "preempt,,churn", "preempt,", ",churn", "none,preempt",
+                           "preempt,none", "none,none"}) {
+    EXPECT_THROW(fault::PlanFromSpec(spec, 7), std::invalid_argument) << spec;
+  }
+}
+
+// The injectors `spec` names, read by this test's own tokenizer: preempt, hetero,
+// interference, churn, in that order; nullopt for an empty or unknown token, or for a
+// `none` that is not the whole spec.
+std::optional<std::array<bool, 4>> NamedInjectors(const std::string& spec) {
+  const std::vector<std::string> names = {"preempt", "hetero", "interference", "churn"};
+  std::array<bool, 4> on{};
+  std::vector<std::string> tokens(1);
+  for (char c : spec) {
+    if (c == ',') {
+      tokens.emplace_back();
+    } else {
+      tokens.back() += c;
+    }
+  }
+  for (const std::string& token : tokens) {
+    const auto name = std::find(names.begin(), names.end(), token);
+    if (name != names.end()) {
+      on[name - names.begin()] = true;
+    } else if (token == "all" || token == "storm") {
+      on.fill(true);
+    } else if (token != "none" || tokens.size() != 1) {
+      return std::nullopt;
+    }
+  }
+  return on;
+}
+
+TEST(FaultScenariosTest, PlanFromSpecSurvivesCutsAndByteFlips) {
+  // Every cut of a full injector list plus a fixed set of seeded single-byte flips. Each
+  // input is rejected with std::invalid_argument or gives exactly the plan it names.
+  const std::string spec = "preempt,hetero,interference,churn";
+  std::vector<std::string> inputs;
+  for (size_t cut = 0; cut <= spec.size(); ++cut) {
+    inputs.push_back(spec.substr(0, cut));
+  }
+  const std::string separators = ",aelmnorst ";
+  runtime::Xoshiro256 rng(20211026);
+  for (int i = 0; i < 4096; ++i) {
+    std::string flipped = spec;
+    const uint64_t draw = rng.Next();
+    flipped[draw % spec.size()] =
+        (draw >> 32) & 1 ? static_cast<char>(rng.Next() & 0xff)
+                         : separators[rng.Next() % separators.size()];
+    inputs.push_back(flipped);
+  }
+  int accepted = 0;
+  for (const std::string& input : inputs) {
+    const auto named = NamedInjectors(input);
+    try {
+      const fault::FaultPlan plan = fault::PlanFromSpec(input, 7);
+      ++accepted;
+      ASSERT_TRUE(named.has_value()) << "accepted: " << input;
+      EXPECT_EQ(plan.seed, 7u) << input;
+      EXPECT_EQ(plan.preempt.enabled, (*named)[0]) << input;
+      EXPECT_EQ(plan.hetero.enabled, (*named)[1]) << input;
+      EXPECT_EQ(plan.interference.enabled, (*named)[2]) << input;
+      EXPECT_EQ(plan.churn.enabled, (*named)[3]) << input;
+    } catch (const std::invalid_argument&) {
+      EXPECT_FALSE(named.has_value()) << "rejected: " << input;
+    }
+  }
+  EXPECT_GE(accepted, 4);  // the cuts that end on a token boundary, the whole spec among them
 }
 
 TEST(FaultScenariosTest, DefaultMatrixCoversEveryInjectorPlusStorm) {

@@ -1,8 +1,9 @@
 // Tests for the resumable sweep journal (src/exec/sweep_journal.h) and the resilient
 // sweep (quarantine + partial results): an interrupted-then-resumed sweep must be
 // byte-identical to an uninterrupted one — failures included — for any executor width
-// and with or without the result cache; and a journal that does not match the sweep's
-// configuration must be ignored, not trusted.
+// and with or without the result cache; a journal that does not match the sweep's
+// configuration must be ignored, not trusted; and a cut or corrupted journal serves
+// each cell its recorded outcome or nothing.
 #include "src/exec/sweep_journal.h"
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "src/locks/mcs.h"
 #include "src/locks/ticket.h"
 #include "src/mem/sim_memory.h"
+#include "src/runtime/rng.h"
 #include "src/select/scripted_bench.h"
 #include "src/sim/platform.h"
 #include "src/sim/watchdog.h"
@@ -340,6 +342,84 @@ TEST(SweepJournalTest, ForeignFileIsTreatedAsEmpty) {
   WriteFile(path, "not a journal\nat all\n");
   exec::SweepJournal journal(path);
   EXPECT_EQ(journal.loaded(), 0u);
+}
+
+TEST(SweepJournalTest, CutOrFlippedJournalsServeRecordedOutcomesOrNothing) {
+  // Adversarial input for the journal parser, like the result cache's cut-and-flip test
+  // in exec_test.cc: a journal of ok and fail records cut at every byte offset and hit
+  // by a fixed set of seeded single-byte flips. Every Lookup returns the recorded
+  // outcome exactly or nothing, and every record that ends before the damage is served.
+  struct Cell {
+    exec::Fingerprint fp;
+    std::string lock_name;
+    int num_threads = 0;
+    exec::CellOutcome outcome;
+  };
+  auto ok = [](exec::CellResult result) {
+    exec::CellOutcome outcome;
+    outcome.ok = true;
+    outcome.result = result;
+    return outcome;
+  };
+  auto fail = [](const std::string& lock_name, int num_threads, const std::string& kind,
+                 const std::string& message, const std::string& diagnostic) {
+    exec::CellOutcome outcome;
+    outcome.failure = {lock_name, num_threads, kind, message, diagnostic};
+    return outcome;
+  };
+  std::vector<Cell> cells = {
+      {{}, "mcs-tkt", 4, ok({0.1 + 0.2, 1.0 / 3.0, -0.0, 5e-324, 1e308, 3.0})},
+      {{}, "mut-skip-unlock", 16, fail("mut-skip-unlock", 16, "deadlock",
+                                       "all 16 threads parked\\",
+                                       "thread 0: parked on line #3\n\tlast: store 0x1p+0\n"
+                                       "thread 1: parked on line #3\\n\n")},
+      {{}, "hmcs", 127, ok({1.5, 0.5, 0.0, 880.5, 1e-300, 0.0})},
+      {{}, "mut-stuck-spin", 2, fail("mut-stuck-spin", 2, "watchdog", "no progress", "")},
+  };
+  const std::string source = TempPath("adversarial-source.journal");
+  {
+    exec::SweepJournal writer(source);
+    for (size_t i = 0; i < cells.size(); ++i) {
+      cells[i].fp.Add("cell", static_cast<int>(i));
+      writer.Record(cells[i].fp, cells[i].lock_name, cells[i].num_threads, cells[i].outcome);
+    }
+  }
+  const std::string journal = ReadFile(source);
+  std::vector<size_t> ends;  // one past each record's newline; the header comes first
+  for (size_t i = 0; i < journal.size(); ++i) {
+    if (journal[i] == '\n') {
+      ends.push_back(i + 1);
+    }
+  }
+  ASSERT_EQ(ends.size(), cells.size() + 1);
+  ends.erase(ends.begin());
+
+  // `damage` is the offset of the first damaged or missing byte: every record that ends
+  // at or before it must be served.
+  const std::string probe = TempPath("adversarial-probe.journal");
+  auto check = [&](const std::string& bytes, const std::string& what, size_t damage) {
+    WriteFile(probe, bytes);
+    exec::SweepJournal reopened(probe);
+    for (size_t i = 0; i < cells.size(); ++i) {
+      auto hit = reopened.Lookup(cells[i].fp, cells[i].lock_name, cells[i].num_threads);
+      if (hit.has_value()) {
+        EXPECT_EQ(*hit, cells[i].outcome) << what << ": record " << i;
+      } else {
+        EXPECT_GT(ends[i], damage) << what << ": lost undamaged record " << i;
+      }
+    }
+  };
+  for (size_t cut = 0; cut <= journal.size(); ++cut) {
+    check(journal.substr(0, cut), "cut at " + std::to_string(cut), cut);
+  }
+  runtime::Xoshiro256 rng(0x10a2a15eed);  // a fixed, seeded flip set
+  for (int flip = 0; flip < 400; ++flip) {
+    const size_t at = rng.Next() % journal.size();
+    const auto mask = static_cast<char>(1 + rng.Next() % 255);
+    std::string bytes = journal;
+    bytes[at] = static_cast<char>(bytes[at] ^ mask);
+    check(bytes, "flip at " + std::to_string(at), at);
+  }
 }
 
 }  // namespace

@@ -218,23 +218,18 @@ TEST(TraceTest, RingBufferKeepsMostRecent) {
 }
 
 TEST(TraceTest, LatencyHistogramBasics) {
-  trace::LatencyHistogram hist;
-  EXPECT_EQ(hist.MeanNs(), 0.0);
-  EXPECT_EQ(hist.PercentileNs(0.99), 0.0);
-  hist.Record(sim::PsFromNs(10.0));
-  hist.Record(sim::PsFromNs(20.0));
-  hist.Record(sim::PsFromNs(30.0));
-  EXPECT_EQ(hist.count(), 3u);
-  EXPECT_DOUBLE_EQ(hist.MeanNs(), 20.0);
-  EXPECT_DOUBLE_EQ(sim::NsFromPs(hist.max_ps()), 30.0);
-  EXPECT_LE(hist.PercentileNs(0.5), hist.PercentileNs(1.0));
-  EXPECT_GE(hist.PercentileNs(1.0), 30.0);  // bucket upper bound covers the max
+  trace::LatencySummary latency;
+  EXPECT_EQ(latency.MeanNs(), 0.0);
+  latency.Record(sim::PsFromNs(10.0));
+  latency.Record(sim::PsFromNs(20.0));
+  latency.Record(sim::PsFromNs(30.0));
+  EXPECT_EQ(latency.count(), 3u);
+  EXPECT_DOUBLE_EQ(latency.MeanNs(), 20.0);
+  EXPECT_DOUBLE_EQ(sim::NsFromPs(latency.max_ps()), 30.0);
 
-  trace::LatencyHistogram other;
-  other.Record(sim::PsFromNs(40.0));
-  hist.Merge(other);
-  EXPECT_EQ(hist.count(), 4u);
-  EXPECT_DOUBLE_EQ(hist.MeanNs(), 25.0);
+  latency.Record(sim::PsFromNs(40.0));
+  EXPECT_EQ(latency.count(), 4u);
+  EXPECT_DOUBLE_EQ(latency.MeanNs(), 25.0);
 }
 
 TEST(TraceTest, BucketHelpers) {

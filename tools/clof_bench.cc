@@ -64,6 +64,8 @@ constexpr const char* kUsage = R"(usage: clof_bench <mode> [flags]   (exactly on
                      --lc/--hc a sweep plans the pair
       [--lc=NAME --hc=NAME] [--threads=CSV] [--profile=...] [--jobs=N] [--up_ns=N]
       [--down_ns=N] [--force_switch=N] [--fault=SPEC] [--trace=FILE] [--trace_capacity=N]
+      [--check]           fail unless the facade keeps 90% of the LC lock at the first
+                          thread count and 90% of the HC lock at the last
   --lock=NAME        one lock across the thread counts
       [--threads=CSV] [--profile=...] [--H=128] [--stats[=per-level]] [--deadline=NS]
       [--fault=SPEC]      csv of preempt,hetero,interference,churn, or all|storm|none
@@ -122,8 +124,8 @@ void PrintObservability(const harness::BenchResult& result, const sim::Machine& 
                 sim::NsFromPs(m.port_queue_ps) * 1e-3);
   }
 
-  // Exact nearest-rank percentiles over the raw samples (the histogram only bounds
-  // them); these are the numbers the robustness mode ranks on.
+  // Exact nearest-rank percentiles over the raw samples; these are the numbers the
+  // robustness mode ranks on.
   std::printf("\nacquire latency: mean %.1f ns, p50 %.1f ns, p99 %.1f ns, p99.9 %.1f ns,"
               " max %.1f ns\n",
               result.acquire_latency.MeanNs(), result.acquire_p50_ns,
@@ -578,6 +580,7 @@ ServiceSetup ParseService(const Context& context) {
 // run sheds late requests and keeps its served tail near the budget.
 int DegradationMode(const Context& context) {
   const double deadline_ns = context.flags.GetPositive("deadline", 0.0);
+  const bool check = context.flags.GetBool("check");
   const ServiceSetup setup = ParseService(context);
   PrintMachine(context.machine, setup.hierarchy);
   const Registry timeout_registry = timeout::WithTimeout(context.registry, {});
@@ -614,7 +617,7 @@ int DegradationMode(const Context& context) {
                 100.0 * bounded.drop_rate);
   }
 
-  if (context.flags.GetBool("check")) {
+  if (check) {
     // Self-check (scripts/check_all.sh), evaluated at the grid's top load: the
     // baseline must queue (never drop) with a tail past the deadline, and the
     // deadline run must shed load while keeping its served tail below the
@@ -685,6 +688,8 @@ void PrintSiteSelection(const select::SiteSelectionResult& selection,
 // global winner.
 int ServiceMode(const Context& context) {
   const bench::Flags& flags = context.flags;
+  const bool check = flags.GetBool("check");
+  const bool combining_enabled = flags.GetBool("combining");
   const ServiceSetup setup = ParseService(context);
   select::SiteSweepConfig config;
   config.service = setup.service;
@@ -706,7 +711,7 @@ int ServiceMode(const Context& context) {
   config.refine_duration_ms = setup.curve_duration_ms;
   PrintMachine(context.machine, setup.hierarchy);
   const std::unique_ptr<Registry> service_registry =
-      AugmentedRegistry(context.registry, setup.hierarchy, flags.GetBool("combining"), false);
+      AugmentedRegistry(context.registry, setup.hierarchy, combining_enabled, false);
   if (service_registry != nullptr) {
     config.base.spec.registry = service_registry.get();
     config.base.lock_names = CombiningSweepNames(context.registry, setup.hierarchy);
@@ -759,7 +764,7 @@ int ServiceMode(const Context& context) {
               per_site_mean, global_mean,
               global_mean > 0.0 ? 100.0 * (per_site_mean / global_mean - 1.0) : 0.0);
 
-  if (flags.GetBool("check")) {
+  if (check) {
     // Self-check (scripts/check_all.sh): per-site selection must actually differ
     // between sites and must not lose to the site-blind baseline.
     if (!selection.SitesDiffer()) {
@@ -782,7 +787,8 @@ int ServiceMode(const Context& context) {
 // --adaptive (docs/ADAPTIVE.md): ramp the LC lock, the HC lock, and the adaptive
 // facade across the thread counts. The facade should track whichever inner lock wins
 // at each point — "vs-best" is its throughput against the better of the two, and
-// "switches" counts its recorded side transitions.
+// "switches" counts its recorded side transitions. --check holds it to the tracking
+// envelope at the ramp's two ends.
 int AdaptiveMode(const Context& context) {
   const bench::Flags& flags = context.flags;
   const auto threads = ParseThreads(context);
@@ -796,6 +802,7 @@ int AdaptiveMode(const Context& context) {
   const fault::FaultPlan fault_plan = ParseFault(context);
   const std::string trace_path = flags.GetString("trace", "");
   const int trace_capacity = flags.GetInt("trace_capacity", 1 << 20);
+  const bool check = flags.GetBool("check");
   PrintMachine(context.machine, context.hierarchy);
 
   adaptive::AdaptiveOptions options;
@@ -834,6 +841,8 @@ int AdaptiveMode(const Context& context) {
   std::printf("adaptive facade: %s\n", adaptive::DescribeOptions(options).c_str());
   std::printf("%-10s%16s%16s%14s%10s%10s\n", "threads", options.lc_lock.c_str(),
               options.hc_lock.c_str(), "adaptive", "vs-best", "switches");
+  double lc_share = -1.0;  // the facade against the LC lock at the first thread count
+  double hc_share = 0.0;   // and against the HC lock at the last
   for (int t : threads) {
     const std::string names[3] = {options.lc_lock, options.hc_lock, "adaptive"};
     double tput[3] = {0.0, 0.0, 0.0};
@@ -858,6 +867,10 @@ int AdaptiveMode(const Context& context) {
     const double best = std::max(tput[0], tput[1]);
     std::printf("%-10d%16.3f%16.3f%14.3f%9.1f%%%10zu\n", t, tput[0], tput[1], tput[2],
                 best > 0.0 ? 100.0 * tput[2] / best : 0.0, last.lock_markers.size());
+    if (lc_share < 0.0) {
+      lc_share = tput[0] > 0.0 ? tput[2] / tput[0] : 0.0;
+    }
+    hc_share = tput[1] > 0.0 ? tput[2] / tput[1] : 0.0;
   }
   if (!trace_path.empty()) {
     trace::WriteChromeTraceFile(trace_path, trace_buffer, context.machine.topology,
@@ -866,6 +879,19 @@ int AdaptiveMode(const Context& context) {
                 static_cast<unsigned long long>(trace_buffer.recorded() -
                                                 trace_buffer.dropped()),
                 last.lock_markers.size(), trace_path.c_str());
+  }
+  if (check) {
+    // The facade's whole point is to cost at most the gate overhead against whichever
+    // inner lock wins the current phase.
+    if (lc_share < 0.9 || hc_share < 0.9) {
+      std::fprintf(stderr, "CHECK FAILED: the facade reached %.1f%% of the LC lock at %d"
+                   " thread(s) and %.1f%% of the HC lock at %d (target >= 90%% of each)\n",
+                   100.0 * lc_share, threads.front(), 100.0 * hc_share, threads.back());
+      return 1;
+    }
+    std::printf("adaptive check passed: the facade reached %.1f%% of the LC lock at %d"
+                " thread(s) and %.1f%% of the HC lock at %d\n",
+                100.0 * lc_share, threads.front(), 100.0 * hc_share, threads.back());
   }
   return 0;
 }
@@ -883,12 +909,14 @@ int LockMode(const Context& context) {
   const fault::FaultPlan fault_plan = ParseFault(context);
   const std::string trace_path = flags.GetString("trace", "");
   const int trace_capacity = flags.GetInt("trace_capacity", 1 << 20);
-  const bool want_stats = flags.GetBool("stats");
+  // --stats=per-level names the one report --stats prints.
+  const bool want_stats = flags.GetString("stats", "") == "per-level" || flags.GetBool("stats");
+  const bool combining_enabled = flags.GetBool("combining");
   PrintMachine(context.machine, context.hierarchy);
 
   // --deadline makes the abortable compositions nameable.
   const std::unique_ptr<Registry> single_registry = AugmentedRegistry(
-      context.registry, context.hierarchy, flags.GetBool("combining"), deadline_ns > 0.0);
+      context.registry, context.hierarchy, combining_enabled, deadline_ns > 0.0);
   const Registry* active_registry =
       single_registry != nullptr ? single_registry.get() : &context.registry;
   PrintFault(context, fault_plan);
@@ -978,7 +1006,7 @@ const std::vector<Mode>& Modes() {
                      "journal", "combining"})},
         {"adaptive", nullptr, AdaptiveMode,
          simulating({"threads", "profile", "jobs", "lc", "hc", "up_ns", "down_ns",
-                     "force_switch", "fault", "trace", "trace_capacity"})},
+                     "force_switch", "fault", "trace", "trace_capacity", "check"})},
         {"lock", nullptr, LockMode,
          simulating({"threads", "profile", "H", "stats", "fault", "trace", "trace_capacity",
                      "deadline", "combining"})},

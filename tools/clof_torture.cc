@@ -63,12 +63,13 @@ torture::TortureReport Torture(const bench::Flags& flags, const sim::Machine& ma
   config.duration_ms = flags.GetPositive("duration_ms", 0.1);
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   config.jobs = flags.GetInt("jobs", 0);
-  const std::string scenario_spec = flags.GetString("scenarios", "");
-  if (!scenario_spec.empty()) {
-    for (const auto& token : bench::SplitCsv(scenario_spec)) {
-      config.scenarios.push_back({token, fault::PlanFromSpec(token, config.seed)});
+  config.scenarios = flags.ParseWith("scenarios", [&](const std::string& spec) {
+    std::vector<fault::Scenario> scenarios;
+    for (const auto& token : bench::SplitCsv(spec)) {
+      scenarios.push_back({token, fault::PlanFromSpec(token, config.seed)});
     }
-  }
+    return scenarios;
+  });
   return torture::RunTorture(config);
 }
 
