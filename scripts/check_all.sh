@@ -15,7 +15,10 @@
 # A torture smoke stage (clof_torture, short duration) runs after tier-1: the eleven
 # mutant locks must be flagged and the genuine control set — including the combining
 # locks and the abortable MCS-T timeout family — must stay clean, so a harness or
-# oracle regression fails the ladder even when the unit tests pass. An adaptive smoke
+# oracle regression fails the ladder even when the unit tests pass. The stage also runs
+# the same report with --verbose, whose deadlock and watchdog dumps carry every thread's
+# state and the last 32 accesses, at --jobs=1 and the default, and fails on any byte
+# difference: a trip diagnostic must not depend on the worker count. An adaptive smoke
 # stage follows: `clof_bench --adaptive --check` with an explicit LC/HC pair holds the
 # facade to the 10% tracking envelope (docs/ADAPTIVE.md) at both ends of a four-point
 # ramp, and must print the same bytes with and without --seed=42. A robustness smoke
@@ -69,7 +72,21 @@ tier1() {
 
 torture_smoke() {
   # Short run of the oracle-validation driver: mutants flagged, genuine locks clean.
-  ./build/tools/clof_torture --duration_ms=0.1 --seed=1
+  # The verbose dumps must come out byte-identical at --jobs=1 and the default.
+  local tmp status=0
+  ./build/tools/clof_torture --duration_ms=0.1 --seed=1 || status=1
+  tmp="$(mktemp -d)" || return 1
+  ./build/tools/clof_torture --duration_ms=0.1 --seed=1 --verbose --jobs=1 \
+    > "${tmp}/serial.txt" || status=1
+  ./build/tools/clof_torture --duration_ms=0.1 --seed=1 --verbose > "${tmp}/default.txt" ||
+    status=1
+  if ! cmp -s "${tmp}/serial.txt" "${tmp}/default.txt"; then
+    echo "byte difference: clof_torture --verbose at --jobs=1 vs the default" >&2
+    diff "${tmp}/serial.txt" "${tmp}/default.txt" >&2
+    status=1
+  fi
+  rm -rf "${tmp}"
+  return "${status}"
 }
 
 # Runs `clof_bench BASE EXTRA` once per EXTRA argument (a space-separated flag list,

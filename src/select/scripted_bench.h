@@ -41,7 +41,9 @@ namespace clof::select {
 // at a budget (~32M accesses without one completed critical section) no working lock
 // composition approaches, so armed-but-untripped sweeps stay byte-identical to
 // historical ones. Virtual-time and wall-clock budgets stay opt-in: cell durations
-// vary legitimately, and wall budgets are host-dependent.
+// vary legitimately, and wall budgets are host-dependent. Armed, it costs each
+// simulated access one ring store and one compare (src/sim/watchdog.h), which
+// perfbench's sweep cannot tell from a disarmed run.
 inline sim::WatchdogConfig DefaultSweepWatchdog() {
   sim::WatchdogConfig config;
   config.max_accesses_without_progress = uint64_t{1} << 25;

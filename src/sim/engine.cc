@@ -1,5 +1,6 @@
 #include "src/sim/engine.h"
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -28,6 +29,18 @@ constexpr int32_t kBulkWakeThreshold = 8;
 // 32k distinct lines, far above any benchmark cell, while bounding idle memory held
 // by sweep workers to a few megabytes.
 constexpr size_t kChunkPoolCap = 512;
+
+// A watchdog threshold that is never reached (WatchdogState::check_at, work_limit).
+constexpr uint64_t kNever = ~uint64_t{0};
+
+uint64_t SaturatingAdd(uint64_t a, uint64_t b) { return b > kNever - a ? kNever : a + b; }
+
+// The access count at which the no-progress budget runs out, counting from `mark`.
+uint64_t ProgressDeadline(const WatchdogConfig& config, uint64_t mark) {
+  return config.max_accesses_without_progress > 0
+             ? SaturatingAdd(mark, config.max_accesses_without_progress)
+             : kNever;
+}
 
 }  // namespace
 
@@ -170,53 +183,54 @@ void Engine::SetWatchdog(const WatchdogConfig& config) {
     return;
   }
   watchdog_ = std::make_unique<WatchdogState>();
-  watchdog_->config = config;
-  watchdog_->config.check_interval = std::max(1u, config.check_interval);
-  watchdog_->countdown = watchdog_->config.check_interval;
-  watchdog_->ring.resize(config.recent_ops);
-  watchdog_->wall_start = std::chrono::steady_clock::now();
+  WatchdogState& w = *watchdog_;
+  w.config = config;
+  w.config.check_interval = std::max(1u, config.check_interval);
+  w.ring.resize(std::bit_ceil(uint64_t{config.recent_ops}));
+  w.ring_mask = w.ring.size() - 1;
+  w.armed_at = total_accesses_;
+  w.progress_mark = total_accesses_;
+  // Only the virtual and wall budgets are polled; the no-progress budget is exact.
+  const bool polled = config.max_virtual_time > 0 || config.max_wall_seconds > 0.0;
+  w.next_poll = polled ? total_accesses_ + w.config.check_interval : kNever;
+  w.check_at = std::min(w.next_poll, ProgressDeadline(config, w.progress_mark));
+  w.work_limit = config.max_virtual_time > 0 ? SaturatingAdd(config.max_virtual_time, 1) : kNever;
+  w.wall_start = std::chrono::steady_clock::now();
 }
 
-void Engine::WatchdogObserve(const PreparedAccess& prepared) {
+void Engine::WatchdogCheck() {
   if (aborting_) {
     throw AbortSimulation{};  // drain: first access after a trip unwinds the fiber
   }
   WatchdogState& w = *watchdog_;
-  if (!w.ring.empty()) {
-    OpRecord& record = w.ring[w.ring_next];
-    record.thread_id = current_->id;
-    record.cpu = prepared.cpu;
-    record.kind = static_cast<int>(prepared.kind);
-    record.line = PeekLineIndex(prepared.line_addr);
-    record.completion = prepared.completion;
-    w.ring_next = (w.ring_next + 1) % w.ring.size();
-    ++w.ring_count;
-  }
-  ++w.accesses_since_progress;
-  if (w.config.max_accesses_without_progress > 0 &&
-      w.accesses_since_progress >= w.config.max_accesses_without_progress) {
-    WatchdogTrip("no forward progress for " +
-                 std::to_string(w.accesses_since_progress) +
+  const WatchdogConfig& config = w.config;
+  const uint64_t since_progress = total_accesses_ - w.progress_mark;
+  if (config.max_accesses_without_progress > 0 &&
+      since_progress >= config.max_accesses_without_progress) {
+    WatchdogTrip("no forward progress for " + std::to_string(since_progress) +
                  " accesses (budget " +
-                 std::to_string(w.config.max_accesses_without_progress) + ")");
+                 std::to_string(config.max_accesses_without_progress) + ")");
   }
-  if (--w.countdown == 0) {
-    w.countdown = w.config.check_interval;
-    if (w.config.max_virtual_time > 0 && current_->time > w.config.max_virtual_time) {
+  if (total_accesses_ >= w.next_poll) {
+    w.next_poll += config.check_interval;
+    if (config.max_virtual_time > 0 && current_->time > config.max_virtual_time) {
       WatchdogTrip("virtual-time budget exceeded (budget " +
-                   std::to_string(w.config.max_virtual_time) + " ps)");
+                   std::to_string(config.max_virtual_time) + " ps)");
     }
-    if (w.config.max_wall_seconds > 0.0) {
+    if (config.max_wall_seconds > 0.0) {
       const std::chrono::duration<double> elapsed =
           std::chrono::steady_clock::now() - w.wall_start;
-      if (elapsed.count() > w.config.max_wall_seconds) {
+      if (elapsed.count() > config.max_wall_seconds) {
         // Budget, not elapsed, in the message: wall trips are inherently host-
         // dependent, but their report text stays stable.
         WatchdogTrip("host wall-clock budget exceeded (budget " +
-                     std::to_string(w.config.max_wall_seconds) + " s)");
+                     std::to_string(config.max_wall_seconds) + " s)");
       }
     }
   }
+  // Re-arm from the current progress mark: ReportProgress moved it without touching
+  // check_at, so this may be the first time the budget sees the newer mark.
+  w.check_at = std::min(w.next_poll, ProgressDeadline(config, w.progress_mark));
 }
 
 void Engine::WatchdogWorkCheck(SimThread* self) {
@@ -240,6 +254,11 @@ void Engine::WatchdogTrip(std::string reason) {
 
 void Engine::AbortParkedThreads() {
   aborting_ = true;
+  if (watchdog_ != nullptr) {
+    // Every later access and Work() now takes the watchdog's slow path, which unwinds.
+    watchdog_->check_at = 0;
+    watchdog_->work_limit = 0;
+  }
   // Force-wake every parked thread so each unwinds via AbortSimulation as soon as it
   // returns from its park, and clear the intrusive waiter lists so no stale links
   // survive.
@@ -266,7 +285,7 @@ EngineDiagnostic Engine::CaptureDiagnostic(const char* reason) {
   diagnostic.reason = reason;
   diagnostic.total_accesses = total_accesses_;
   diagnostic.accesses_since_progress =
-      watchdog_ != nullptr ? watchdog_->accesses_since_progress : 0;
+      watchdog_ != nullptr ? total_accesses_ - watchdog_->progress_mark : 0;
   diagnostic.threads.reserve(threads_.size());
   for (const auto& thread : threads_) {
     const SimThread* t = thread.get();
@@ -289,13 +308,20 @@ EngineDiagnostic Engine::CaptureDiagnostic(const char* reason) {
     diagnostic.now = std::max(diagnostic.now, t->time);
     diagnostic.threads.push_back(info);
   }
-  if (watchdog_ != nullptr && watchdog_->ring_count > 0) {
+  if (watchdog_ != nullptr) {
     const WatchdogState& w = *watchdog_;
-    const size_t depth = std::min<uint64_t>(w.ring_count, w.ring.size());
+    const uint64_t depth =
+        std::min<uint64_t>(total_accesses_ - w.armed_at, w.config.recent_ops);
     diagnostic.recent_ops.reserve(depth);
-    for (size_t i = 0; i < depth; ++i) {
-      diagnostic.recent_ops.push_back(
-          w.ring[(w.ring_next + w.ring.size() - depth + i) % w.ring.size()]);
+    for (uint64_t n = total_accesses_ - depth + 1; n <= total_accesses_; ++n) {
+      const RingEntry& entry = w.ring[n & w.ring_mask];
+      OpRecord record;
+      record.thread_id = entry.thread;
+      record.cpu = threads_[entry.thread]->cpu;
+      record.kind = entry.kind;
+      record.line = entry.line;
+      record.completion = entry.completion;
+      diagnostic.recent_ops.push_back(record);
     }
   }
   return diagnostic;

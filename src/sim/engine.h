@@ -145,18 +145,18 @@ class Engine {
       ns *= fault_hook_->WorkScale(self->cpu);  // heterogeneous core speed (src/fault/)
     }
     self->time += PsFromNs(ns);
-    if (watchdog_ != nullptr) {
+    if (watchdog_ != nullptr && self->time >= watchdog_->work_limit) {
       WatchdogWorkCheck(self);  // virtual budget also covers access-free spin loops
     }
     YieldRunnable(self);
   }
 
   // Marks one unit of application-level forward progress (e.g. a completed critical
-  // section): resets the watchdog's no-progress access counter. A no-op without a
+  // section): restarts the watchdog's no-progress access count. A no-op without a
   // watchdog installed; never issues simulated accesses or affects virtual time.
   void ReportProgress() {
     if (watchdog_ != nullptr) {
-      watchdog_->accesses_since_progress = 0;
+      watchdog_->progress_mark = total_accesses_;
     }
   }
 
@@ -408,6 +408,7 @@ class Engine {
   struct PreparedAccess {
     LineHot* hot = nullptr;  // arena-backed: stable across the apply callback
     uintptr_t line_addr = 0;
+    uint32_t line_index = 0;  // the line's first-touch ordinal (watchdog ring)
     OpKind kind = OpKind::kLoad;
     int cpu = 0;
     Time start = 0;
@@ -447,21 +448,40 @@ class Engine {
   // catches the token on its own stack and finishes normally, and Run() rethrows the
   // real SimWatchdogError from the scheduler context once every fiber has drained. A
   // deadlock drains the same way, from Run(), after its diagnostic is captured.
+  //
+  // An armed watchdog costs each access one 16-byte ring store and one compare, inline
+  // in FinishAccess, and each Work() one compare. Every budget is folded into the two
+  // precomputed thresholds below: `check_at` is the first access count at which the
+  // no-progress budget or a check_interval poll can act, `work_limit` the first clock
+  // a Work() must check, and both are 0 while a trip drains, so every access and Work()
+  // then unwinds. Past a threshold WatchdogCheck/WatchdogWorkCheck (engine.cc) decide,
+  // and re-arm `check_at` from the progress mark: ReportProgress only moves the mark.
+  struct RingEntry {  // one access; CaptureDiagnostic expands it into an OpRecord
+    Time completion = 0;
+    uint32_t line = 0;    // first-touch ordinal (PreparedAccess::line_index)
+    uint16_t thread = 0;  // SimThread::id (< 2^kThreadIdBits); its CPU is fixed
+    uint8_t kind = 0;     // OpKind
+  };
+  static_assert(sizeof(RingEntry) == 16);
   struct WatchdogState {
+    uint64_t check_at = 0;   // total_accesses_ that runs WatchdogCheck; 0 = draining
+    Time work_limit = 0;     // Work() clock that runs WatchdogWorkCheck; 0 = draining
+    uint64_t ring_mask = 0;  // ring.size() - 1
+    // Access n (its total_accesses_ count) lands at n & ring_mask; the power-of-two
+    // size is at least config.recent_ops, and a capture copies out only that many.
+    std::vector<RingEntry> ring;
     WatchdogConfig config;
-    uint64_t accesses_since_progress = 0;
-    uint32_t countdown = 1;                // accesses until the next budget poll
-    std::vector<OpRecord> ring;            // last config.recent_ops accesses
-    size_t ring_next = 0;
-    uint64_t ring_count = 0;
+    uint64_t armed_at = 0;       // total_accesses_ when armed
+    uint64_t progress_mark = 0;  // total_accesses_ at the last ReportProgress
+    uint64_t next_poll = 0;      // access count of the next virtual/wall budget poll
     std::chrono::steady_clock::time_point wall_start;
     bool tripped = false;
-    EngineDiagnostic diagnostic;           // captured at the trip point
+    EngineDiagnostic diagnostic;  // captured at the trip point
   };
   struct AbortSimulation {};  // internal unwind token; never escapes Run()
 
-  void WatchdogObserve(const PreparedAccess& prepared);   // per access, watchdog on
-  void WatchdogWorkCheck(SimThread* self);                // per Work(), watchdog on
+  void WatchdogCheck();                     // an access reached check_at
+  void WatchdogWorkCheck(SimThread* self);  // a Work() clock reached work_limit
   [[noreturn]] void WatchdogTrip(std::string reason);
   // Sets aborting_ and makes every parked thread ready; each then throws
   // AbortSimulation as soon as it returns from its park, without another access.
@@ -475,7 +495,7 @@ class Engine {
   // Arena index of a line without creating it (kNoLine if never touched). The index is
   // the line's first-touch ordinal, so diagnostics label lines with it: ordinals follow
   // deterministic simulation order, and dumps are byte-identical across identical
-  // runs, unlike raw heap addresses.
+  // runs, unlike raw heap addresses. Accesses carry it in PreparedAccess instead.
   uint32_t PeekLineIndex(uintptr_t line_addr) const;
 
   // The engine running on this host thread, set for the duration of Run(). An inline
@@ -512,7 +532,7 @@ class Engine {
 // with `kind` as a compile-time constant: load call sites compile the write-path cost
 // model away entirely and vice versa, and the apply callable fuses into the middle.
 // Cold tails — first-touch line claims, index growth, trace emission, waiter wakeup,
-// the actual fiber switch — stay out-of-line in engine.cc.
+// the watchdog's budget checks, the actual fiber switch — stay out-of-line in engine.cc.
 
 inline uint32_t Engine::LineIndexFor(uintptr_t line_addr) {
   const size_t mask = line_index_.size() - 1;
@@ -682,6 +702,7 @@ inline Engine::PreparedAccess Engine::PrepareAccess(uintptr_t line_addr, OpKind 
   PreparedAccess prepared;
   prepared.hot = &hot;
   prepared.line_addr = line_addr;
+  prepared.line_index = line_index;
   prepared.kind = kind;
   prepared.cpu = cpu;
   prepared.start = start;
@@ -703,7 +724,13 @@ inline Engine::AccessResult Engine::FinishAccess(const PreparedAccess& prepared,
     EmitAccessEvent(prepared);
   }
   if (watchdog_ != nullptr) {
-    WatchdogObserve(prepared);  // may unwind this fiber on a trip / during an abort
+    WatchdogState& w = *watchdog_;
+    w.ring[total_accesses_ & w.ring_mask] =
+        RingEntry{completion, prepared.line_index, static_cast<uint16_t>(self->id),
+                  static_cast<uint8_t>(prepared.kind)};
+    if (total_accesses_ >= w.check_at) {
+      WatchdogCheck();  // may unwind this fiber on a trip / during an abort
+    }
   }
   if (prepared.is_write && changed) {
     ++hot.version;

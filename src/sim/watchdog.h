@@ -19,8 +19,12 @@
 //
 // The watchdog is observation-only: an armed watchdog that does not trip leaves every
 // virtual-time result bit-identical to an unwatched run (tests/watchdog_test.cc), and
-// with no watchdog installed the engine hot path pays one branch per access. A trip
-// captures an EngineDiagnostic — per-thread state (parked-on line, that line's owner
+// with no watchdog installed the engine hot path pays one branch per access. Armed, it
+// adds one 16-byte ring store and one compare to each access and one compare to each
+// Engine::Work(); the budgets are evaluated only when that compare says one may be due
+// (Engine::WatchdogState). In perfbench's sweep on a 4-vCPU Xeon VM that is under
+// ~1.6 ns per access, too little to tell from a disarmed run (docs/SIM_ENGINE.md). A
+// trip captures an EngineDiagnostic — per-thread state (parked-on line, that line's owner
 // CPU, co-waiters) plus a ring of the last N accesses — formatted into the error so a
 // quarantined cell's failure report says *where* every thread was stuck.
 //

@@ -17,6 +17,7 @@
 
 #include "src/clof/lock.h"
 #include "src/clof/registry.h"
+#include "src/exec/fingerprint.h"
 #include "src/exec/result_cache.h"
 #include "src/locks/mcs.h"
 #include "src/locks/ticket.h"
@@ -166,6 +167,11 @@ TEST(ResilientSweepTest, BrokenLocksAreQuarantinedNotFatal) {
               result.selection.hc_best == "manual-mcs");
   EXPECT_TRUE(result.selection.worst == "manual-tkt" ||
               result.selection.worst == "manual-mcs");
+
+  // Every byte of the result, the failure dumps and their last-ops rings included.
+  const std::string text = Serialize(result);
+  EXPECT_EQ(exec::Fnv1a(text), 0x8229f6eb35802015ull)
+      << "actual 0x" << std::hex << exec::Fnv1a(text) << "\n" << text;
 }
 
 TEST(ResilientSweepTest, EligibleCurvesExcludesExactlyTheQuarantinedLocks) {

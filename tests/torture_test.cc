@@ -212,6 +212,9 @@ uint64_t TextHash(const std::string& text) {
 // routing them through Lock::Execute must leave every verdict and count unchanged.
 constexpr uint64_t kMutantReportGolden = 0xe666b4562d4e5416ull;
 constexpr uint64_t kControlReportGolden = 0x6b37a68d0db60b40ull;
+// The mutant report with --verbose: every violation's detail, the deadlock and
+// watchdog dumps with their 32-entry last-ops rings, pinned byte for byte.
+constexpr uint64_t kMutantVerboseReportGolden = 0xa4a3cdc176ef905cull;
 
 TEST(TortureTest, DefaultReportsMatchCapture) {
   auto machine = Arm();
@@ -220,7 +223,9 @@ TEST(TortureTest, DefaultReportsMatchCapture) {
       topo::Hierarchy::Select(machine.topology, {"cache", "numa", "package", "system"});
   config.registry = &MutantRegistry();
   config.lock_names = MutantNames();
-  const std::string mutants = FormatTortureReport(RunTorture(config));
+  const TortureReport mutant_report = RunTorture(config);
+  const std::string mutants = FormatTortureReport(mutant_report);
+  const std::string mutants_verbose = FormatTortureReport(mutant_report, /*verbose=*/true);
 
   combining::CombiningOptions combining_options;
   combining_options.hsynch_levels = {"cache"};
@@ -236,6 +241,8 @@ TEST(TortureTest, DefaultReportsMatchCapture) {
       << "actual 0x" << std::hex << TextHash(mutants) << "\n" << mutants;
   EXPECT_EQ(TextHash(controls), kControlReportGolden)
       << "actual 0x" << std::hex << TextHash(controls) << "\n" << controls;
+  EXPECT_EQ(TextHash(mutants_verbose), kMutantVerboseReportGolden)
+      << "actual 0x" << std::hex << TextHash(mutants_verbose) << "\n" << mutants_verbose;
 }
 
 TEST(TortureTest, RejectsUnusableConfigs) {
