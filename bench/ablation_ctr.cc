@@ -72,7 +72,7 @@ BENCHMARK_TEMPLATE(BM_UncontendedAcquireRelease, locks::Hemlock<mem::NativeMemor
 
 int main(int argc, char** argv) {
   clof::bench::Flags flags(argc, argv, {"duration_ms", "quick"});
-  SimPart(flags.GetDouble("duration_ms", flags.GetBool("quick") ? 0.3 : 1.0));
+  SimPart(flags.GetPositive("duration_ms", flags.GetBool("quick") ? 0.3 : 1.0));
   // Hand google-benchmark an argv without our custom flags.
   int bench_argc = 1;
   benchmark::Initialize(&bench_argc, argv);

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
       {"HMCS<4>", "hmcs", h4, {}},
   };
   bench::CurveRunOptions options;
-  options.duration_ms = flags.GetDouble("duration_ms", flags.GetBool("quick") ? 0.3 : 1.0);
+  options.duration_ms = flags.GetPositive("duration_ms", flags.GetBool("quick") ? 0.3 : 1.0);
   options.registry = &SimRegistry(false);
   std::vector<int> thread_counts{1, 2, 4, 8, 16, 32, 64, 127};
   auto rows = bench::RunCurves(machine, specs, thread_counts,

@@ -44,7 +44,7 @@ double LeafPassRatio(const sim::Machine& machine, const topo::Hierarchy& hierarc
 
 int main(int argc, char** argv) {
   bench::Flags flags(argc, argv, {"duration_ms", "quick"});
-  double duration = flags.GetDouble("duration_ms", flags.GetBool("quick") ? 0.4 : 1.5);
+  double duration = flags.GetPositive("duration_ms", flags.GetBool("quick") ? 0.4 : 1.5);
 
   auto machine = sim::Machine::PaperArm();
   auto h4 = topo::Hierarchy::Select(machine.topology,

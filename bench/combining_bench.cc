@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   config.spec.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   config.spec.params.keep_local_threshold =
       static_cast<uint32_t>(flags.GetInt("H", 128));
-  config.duration_ms = flags.GetDouble("duration_ms", quick ? 0.25 : 0.5);
+  config.duration_ms = flags.GetPositive("duration_ms", quick ? 0.25 : 0.5);
   config.jobs = flags.GetInt("jobs", 0);
   config.thread_counts = flags.GetList<int>("threads");
   if (config.thread_counts.empty()) {

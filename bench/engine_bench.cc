@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   // Scale-scenario default tuned so per-run setup (1024 fibers, lock construction over
   // 1024 CPUs) amortizes against steady-state simulation: below ~4 virtual ms the
   // number measures startup, not the hot path.
-  const double duration_ms = flags.GetDouble("duration_ms", scale ? 6.0 : 8.0);
+  const double duration_ms = flags.GetPositive("duration_ms", scale ? 6.0 : 8.0);
 
   auto x86 = sim::Machine::PaperX86();
   auto arm = sim::Machine::PaperArm();

@@ -11,7 +11,7 @@
 int main(int argc, char** argv) {
   using namespace clof;
   bench::Flags flags(argc, argv, {"duration_ms", "quick"});
-  double duration = flags.GetDouble("duration_ms", flags.GetBool("quick") ? 0.5 : 2.0);
+  double duration = flags.GetPositive("duration_ms", flags.GetBool("quick") ? 0.5 : 2.0);
 
   auto machine = sim::Machine::PaperArm();
   auto h4 = topo::Hierarchy::Select(machine.topology,

@@ -45,7 +45,7 @@ void RunMachineWorkload(const char* title, const sim::Machine& machine,
 int main(int argc, char** argv) {
   bench::Flags flags(argc, argv, {"duration_ms", "runs", "jobs", "quick"});
   bench::CurveRunOptions options;
-  options.duration_ms = flags.GetDouble("duration_ms", flags.GetBool("quick") ? 0.3 : 1.0);
+  options.duration_ms = flags.GetPositive("duration_ms", flags.GetBool("quick") ? 0.3 : 1.0);
   options.runs = flags.GetInt("runs", flags.GetBool("quick") ? 1 : 3);
   options.jobs = flags.GetInt("jobs", 0);  // 0 = one executor worker per host CPU
 

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   };
 
   bench::CurveRunOptions options;
-  options.duration_ms = flags.GetDouble("duration_ms", flags.GetBool("quick") ? 0.3 : 1.0);
+  options.duration_ms = flags.GetPositive("duration_ms", flags.GetBool("quick") ? 0.3 : 1.0);
   options.runs = flags.GetInt("runs", 1);
   auto thread_counts = harness::PaperThreadCounts(topo);
   auto rows = bench::RunCurves(machine, specs, thread_counts,

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   };
 
   bench::CurveRunOptions options;
-  options.duration_ms = flags.GetDouble("duration_ms", flags.GetBool("quick") ? 0.3 : 1.0);
+  options.duration_ms = flags.GetPositive("duration_ms", flags.GetBool("quick") ? 0.3 : 1.0);
   options.runs = flags.GetInt("runs", 1);
   options.registry = &SimRegistry(false);  // Arm: Hemlock without CTR
   auto thread_counts = harness::PaperThreadCounts(topo);

@@ -117,7 +117,7 @@ void RunVariant(const char* tag, const sim::Machine& machine,
 int main(int argc, char** argv) {
   bench::Flags flags(argc, argv,
                      {"duration_ms", "jobs", "only", "preselect", "verbose", "quick"});
-  double duration = flags.GetDouble("duration_ms", flags.GetBool("quick") ? 0.15 : 1.0);
+  double duration = flags.GetPositive("duration_ms", flags.GetBool("quick") ? 0.15 : 1.0);
   bool verbose = flags.GetBool("verbose");
   bool preselect = flags.GetBool("preselect");
   int jobs = flags.GetInt("jobs", 0);  // 0 = one worker per host CPU

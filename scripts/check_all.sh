@@ -39,7 +39,10 @@
 # --seed=42 (the mode takes no --jobs). A cache smoke stage runs two sweeps at the
 # same time into one --cache directory, so both processes append to one result-cache
 # log, then a third run that must miss nothing; every output must match an uncached
-# run apart from the cache summary line.
+# run apart from the cache summary line. A journal smoke stage cuts a finished sweep's
+# --journal file at half its size and resumes from it: the resumed run must print the
+# unjournaled run's bytes apart from the journal lines, and a third run must be served
+# every cell from the journal.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -178,6 +181,39 @@ cache_smoke() {
   return "${status}"
 }
 
+journal_smoke() {
+  # Crash-safe resume (docs/PARALLEL_SWEEP.md): a journal cut mid-record, as a killed
+  # sweep leaves it, resumes past its intact records to the uninterrupted output.
+  local tmp status=0 cells
+  tmp="$(mktemp -d)" || return 1
+  local sweep=(./build/tools/clof_bench --sweep --machine=arm --levels=numa,system
+               --threads=1,4,16 --duration_ms=0.2)
+  "${sweep[@]}" > "${tmp}/plain.txt" || status=1
+  "${sweep[@]}" --journal="${tmp}/full" > /dev/null || status=1
+  head -c "$(( $(wc -c < "${tmp}/full") / 2 ))" "${tmp}/full" > "${tmp}/journal"
+  "${sweep[@]}" --journal="${tmp}/journal" > "${tmp}/resumed.txt" || status=1
+  "${sweep[@]}" --journal="${tmp}/journal" > "${tmp}/third.txt" || status=1
+  if ! grep -q "^journal .*: resuming past [1-9][0-9]* completed cell(s)$" \
+       "${tmp}/resumed.txt"; then
+    echo "journal smoke: the resumed run found no completed cell in the cut journal" >&2
+    status=1
+  fi
+  if ! diff <(grep -v '^journal ' "${tmp}/plain.txt") \
+            <(grep -v '^journal ' "${tmp}/resumed.txt") > /dev/null; then
+    echo "journal smoke: the resumed run differs from the unjournaled run" >&2
+    status=1
+  fi
+  cells="$(sed -n 's/^swept [0-9]* locks (\([0-9]*\) cells.*/\1/p' "${tmp}/plain.txt")"
+  if ! grep -q "^journal .*: ${cells} cell(s) served from the previous run$" \
+       "${tmp}/third.txt"; then
+    echo "journal smoke: the third run was not served all ${cells} cells:" \
+         "$(grep '^journal .*served' "${tmp}/third.txt")" >&2
+    status=1
+  fi
+  rm -rf "${tmp}"
+  return "${status}"
+}
+
 perf_stage() {
   # Both scenarios: the historical fig9-style hot path and the 1024-CPU scale scenario.
   scripts/bench_wallclock.sh "check_all" || return $?
@@ -228,6 +264,7 @@ run_stage "service smoke" service_smoke
 run_stage "combining smoke" combining_smoke
 run_stage "timeout smoke" timeout_smoke
 run_stage "cache smoke" cache_smoke
+run_stage "journal smoke" journal_smoke
 run_stage "asan+ubsan" scripts/check_sanitized.sh
 run_stage "tsan" scripts/check_tsan.sh
 if [[ "${perf}" -eq 1 ]]; then

@@ -30,8 +30,7 @@ void Fingerprint::Add(std::string_view key, double value) {
   Add(key, std::string_view(buffer));
 }
 
-uint64_t Fnv1a(std::string_view bytes) {
-  uint64_t hash = 0xcbf29ce484222325ull;  // offset basis
+uint64_t Fnv1a(std::string_view bytes, uint64_t hash) {
   for (unsigned char c : bytes) {
     hash ^= c;
     hash *= 0x100000001b3ull;

@@ -32,9 +32,11 @@ namespace clof::exec {
 // sidecars (p99/p999 acquire latency, starved threads).
 inline constexpr int kCellSchemaVersion = 2;
 
-// FNV-1a 64 over `bytes`: the fingerprint hash, and the record checksum of the result
-// cache and the sweep journal.
-uint64_t Fnv1a(std::string_view bytes);
+// FNV-1a 64 over `bytes`, continuing from `hash` (the offset basis starts a fresh one,
+// so Fnv1a(b, Fnv1a(a)) == Fnv1a(a + b)): the fingerprint hash, and the record
+// checksum of the cell log (src/exec/result_cache.h).
+inline constexpr uint64_t kFnv1aOffsetBasis = 0xcbf29ce484222325ull;
+uint64_t Fnv1a(std::string_view bytes, uint64_t hash = kFnv1aOffsetBasis);
 
 // `value` as 16 lowercase hex digits, the on-disk spelling of hashes and checksums.
 std::string Hex16(uint64_t value);

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 namespace clof::exec {
@@ -17,7 +18,7 @@ namespace {
 
 constexpr size_t kChunkBytes = size_t{64} << 10;       // scan read size
 constexpr size_t kMaxHeaderBytes = 512;                 // a header is ~220 bytes
-constexpr uint64_t kMaxTranscriptBytes = uint64_t{4} << 20;
+constexpr uint64_t kMaxBodyBytes = uint64_t{4} << 20;  // transcript plus failure bytes
 
 // "clof-cell-cache v<schema> ": every record starts with it, and a scan that meets a
 // damaged record resynchronises at its next occurrence.
@@ -34,19 +35,40 @@ bool ParseUnsigned(std::string_view text, int base, uint64_t* out) {
   return error == std::errc() && end == last;
 }
 
+// Current size of the file from fstat, or -1.
+int64_t FileSize(int fd) {
+  struct stat st;
+  return ::fstat(fd, &st) == 0 ? static_cast<int64_t>(st.st_size) : -1;
+}
+
+// Reads up to `n` bytes at `offset` into `out` (resized to the bytes actually read).
+void ReadAt(int fd, uint64_t offset, size_t n, std::string* out) {
+  out->resize(n);
+  size_t done = 0;
+  while (done < n) {
+    const ssize_t got =
+        ::pread(fd, out->data() + done, n - done, static_cast<off_t>(offset + done));
+    if (got <= 0) {
+      break;
+    }
+    done += static_cast<size_t>(got);
+  }
+  out->resize(done);
+}
+
 // Sequential reads of the log through one bounded buffer: View(offset, n) returns the
 // bytes [offset, offset + n), fewer when the log ends first, reading a new chunk only
 // when they are not already resident.
 class LogWindow {
  public:
-  LogWindow(const AppendFile& file, uint64_t size) : file_(file), size_(size) {}
+  LogWindow(int fd, uint64_t size) : fd_(fd), size_(size) {}
 
   std::string_view View(uint64_t offset, size_t n) {
     const uint64_t left = offset < size_ ? size_ - offset : 0;
     n = static_cast<size_t>(std::min<uint64_t>(n, left));
     if (offset < base_ || offset + n > base_ + buffer_.size()) {
       const auto chunk = static_cast<size_t>(std::min<uint64_t>(kChunkBytes, left));
-      file_.ReadAt(offset, std::max(n, chunk), &buffer_);
+      ReadAt(fd_, offset, std::max(n, chunk), &buffer_);
       base_ = offset;
     }
     return std::string_view(buffer_).substr(offset - base_, std::min(n, buffer_.size()));
@@ -70,7 +92,7 @@ class LogWindow {
   }
 
  private:
-  const AppendFile& file_;
+  const int fd_;
   const uint64_t size_;
   uint64_t base_ = 0;
   std::string buffer_;
@@ -79,64 +101,104 @@ class LogWindow {
 struct Record {
   uint64_t hash = 0;
   CellResult value;
+  std::unique_ptr<const CellFailure> failure;  // null for a successful cell
   uint64_t transcript_offset = 0;
-  uint64_t transcript_bytes = 0;  // the record ends right after its transcript
+  uint64_t transcript_bytes = 0;
+  uint64_t end = 0;  // one past the record's last byte
 };
 
 // Parses the record that starts at `offset`; false when it is torn, malformed or fails
-// either check (header checksum, transcript hash).
+// either check (checksum, transcript hash).
 bool ParseRecord(LogWindow& window, uint64_t offset, Record* record) {
   const std::string_view head = window.View(offset, kMaxHeaderBytes);
   const size_t eol = head.find('\n');
   if (eol == std::string_view::npos || !head.starts_with(Magic())) {
     return false;
   }
-  // Fields after the magic: hash, six values, length, checksum — single spaces.
+  // Fields after the magic, single spaces: the hash, the outcome (six payload values,
+  // or `fail` and three lengths), the transcript length, the checksum.
   std::vector<std::string_view> fields;
   for (size_t pos = Magic().size(); pos <= eol;) {
     const size_t end = std::min(head.find(' ', pos), eol);
     fields.push_back(head.substr(pos, end - pos));
     pos = end + 1;
   }
-  double* values[] = {&record->value.throughput_per_us, &record->value.local_handover_rate,
-                      &record->value.transfers_per_op, &record->value.acquire_p99_ns,
-                      &record->value.acquire_p999_ns, &record->value.starved_threads};
+  const bool failed = fields.size() == 7 && fields[1] == "fail";
   uint64_t length = 0;
   uint64_t sum = 0;
-  if (fields.size() != 9 || !ParseUnsigned(fields[0], 16, &record->hash) ||
-      !ParseUnsigned(fields[7], 10, &length) || length > kMaxTranscriptBytes ||
-      !ParseUnsigned(fields[8], 16, &sum)) {
+  if ((fields.size() != 9 && !failed) || !ParseUnsigned(fields[0], 16, &record->hash) ||
+      !ParseUnsigned(fields[fields.size() - 2], 10, &length) || length > kMaxBodyBytes ||
+      !ParseUnsigned(fields.back(), 16, &sum)) {
     return false;
   }
-  for (int i = 0; i < 6; ++i) {
-    if (!ParseHexDouble(std::string(fields[1 + i]), values[i])) {
-      return false;
+  uint64_t parts[3] = {0, 0, 0};  // failure bytes: kind, message, diagnostic
+  if (failed) {
+    for (int i = 0; i < 3; ++i) {
+      if (!ParseUnsigned(fields[2 + i], 10, &parts[i]) || parts[i] > kMaxBodyBytes) {
+        return false;
+      }
+    }
+  } else {
+    double* values[] = {&record->value.throughput_per_us, &record->value.local_handover_rate,
+                        &record->value.transfers_per_op, &record->value.acquire_p99_ns,
+                        &record->value.acquire_p999_ns, &record->value.starved_threads};
+    for (int i = 0; i < 6; ++i) {
+      if (!ParseHexDouble(std::string(fields[1 + i]), values[i])) {
+        return false;
+      }
     }
   }
-  if (Fnv1a(head.substr(0, eol - fields[8].size() - 1)) != sum) {
+  const uint64_t tail = parts[0] + parts[1] + parts[2];
+  if (length + tail > kMaxBodyBytes) {
     return false;
   }
-  // The transcript must hash to the record's address (this view may need a fresh read,
-  // which invalidates `head`).
-  const std::string_view transcript = window.View(offset + eol + 1, length);
-  if (transcript.size() != length || Fnv1a(transcript) != record->hash) {
+  // The checksum runs over the header text, then the failure bytes; the transcript
+  // must hash to the record's address. (The body view may need a fresh read, which
+  // invalidates `head`.)
+  const uint64_t head_sum = Fnv1a(head.substr(0, eol - fields.back().size() - 1));
+  const std::string_view body = window.View(offset + eol + 1, length + tail);
+  if (body.size() != length + tail || Fnv1a(body.substr(length), head_sum) != sum ||
+      Fnv1a(body.substr(0, length)) != record->hash) {
     return false;
+  }
+  if (failed) {
+    auto failure = std::make_unique<CellFailure>();
+    std::string* texts[] = {&failure->kind, &failure->message, &failure->diagnostic};
+    uint64_t at = length;
+    for (int i = 0; i < 3; ++i) {
+      texts[i]->assign(body.substr(at, parts[i]));
+      at += parts[i];
+    }
+    record->failure = std::move(failure);
   }
   record->transcript_offset = offset + eol + 1;
   record->transcript_bytes = length;
+  record->end = record->transcript_offset + length + tail;
   return true;
 }
 
-std::string FormatRecord(const Fingerprint& fp, uint64_t hash, const CellResult& value) {
+std::string FormatRecord(const Fingerprint& fp, uint64_t hash, const CellOutcome& outcome) {
   std::string record = Magic() + Hex16(hash);
-  for (double v : {value.throughput_per_us, value.local_handover_rate,
-                   value.transfers_per_op, value.acquire_p99_ns, value.acquire_p999_ns,
-                   value.starved_threads}) {
-    record += ' ' + HexDouble(v);
+  std::string tail;  // the failure bytes, after the transcript
+  if (outcome.ok) {
+    const CellResult& value = outcome.result;
+    for (double v : {value.throughput_per_us, value.local_handover_rate,
+                     value.transfers_per_op, value.acquire_p99_ns, value.acquire_p999_ns,
+                     value.starved_threads}) {
+      record += ' ' + HexDouble(v);
+    }
+  } else {
+    record += " fail";
+    const CellFailure& failure = outcome.failure;
+    for (const std::string* text : {&failure.kind, &failure.message, &failure.diagnostic}) {
+      record += ' ' + std::to_string(text->size());
+      tail += *text;
+    }
   }
   record += ' ' + std::to_string(fp.text().size());
-  record += ' ' + Hex16(Fnv1a(record)) + '\n';
+  record += ' ' + Hex16(Fnv1a(tail, Fnv1a(record))) + '\n';
   record += fp.text();
+  record += tail;
   return record;
 }
 
@@ -171,59 +233,31 @@ bool ParseHexDouble(const std::string& text, double* out) {
   return true;
 }
 
-AppendFile::AppendFile(const std::string& path) {
-  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+CellLog::CellLog(std::string path) : path_(std::move(path)) {
+  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
   if (fd_ < 0) {
-    fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    fd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
   }
   if (fd_ < 0) {
-    throw std::runtime_error("cannot open " + path);
+    throw std::runtime_error("cannot open " + path_);
   }
-}
-
-AppendFile::~AppendFile() { ::close(fd_); }
-
-int64_t AppendFile::Append(std::string_view bytes) const {
-  if (::write(fd_, bytes.data(), bytes.size()) != static_cast<ssize_t>(bytes.size())) {
-    return -1;
-  }
-  return ::lseek(fd_, 0, SEEK_CUR);  // O_APPEND left the offset just past our bytes
-}
-
-int64_t AppendFile::Size() const {
-  struct stat st;
-  return ::fstat(fd_, &st) == 0 ? static_cast<int64_t>(st.st_size) : -1;
-}
-
-void AppendFile::ReadAt(uint64_t offset, size_t n, std::string* out) const {
-  out->resize(n);
-  size_t done = 0;
-  while (done < n) {
-    const ssize_t got =
-        ::pread(fd_, out->data() + done, n - done, static_cast<off_t>(offset + done));
-    if (got <= 0) {
-      break;
-    }
-    done += static_cast<size_t>(got);
-  }
-  out->resize(done);
-}
-
-bool AppendFile::Truncate(uint64_t size) const {
-  return ::ftruncate(fd_, static_cast<off_t>(size)) == 0;
-}
-
-ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)), log_(LogPathIn(dir_)) {
   std::lock_guard<std::mutex> lock(mutex_);
   IndexNewRecords();
 }
 
-bool ResultCache::IndexNewRecords() {
-  const int64_t size = log_.Size();
+CellLog::~CellLog() { ::close(fd_); }
+
+size_t CellLog::cells() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return index_.size();
+}
+
+bool CellLog::IndexNewRecords() {
+  const int64_t size = FileSize(fd_);
   if (size < 0 || size == scanned_size_) {
     return false;
   }
-  LogWindow window(log_, static_cast<uint64_t>(size));
+  LogWindow window(fd_, static_cast<uint64_t>(size));
   // Appends only grow the log, and each starts with the magic. Anything else — a
   // shrink, or new bytes after a clean end that are not a record's start — means the
   // log was truncated or rewritten underneath us: index it afresh.
@@ -238,8 +272,9 @@ bool ResultCache::IndexNewRecords() {
   while (offset < static_cast<uint64_t>(size)) {
     Record record;
     if (ParseRecord(window, offset, &record)) {
-      index_[record.hash] = {record.value, record.transcript_offset, record.transcript_bytes};
-      offset = record.transcript_offset + record.transcript_bytes;
+      index_[record.hash] = {record.value, std::move(record.failure), record.transcript_offset,
+                             record.transcript_bytes};
+      offset = record.end;
       continue;
     }
     // Torn or damaged: resume at the next header. With none, stop here — the bytes may
@@ -254,9 +289,10 @@ bool ResultCache::IndexNewRecords() {
   return true;
 }
 
-std::optional<CellResult> ResultCache::Verified(const Fingerprint& fp, uint64_t hash,
-                                                bool catch_up) {
-  IndexEntry entry;
+std::optional<CellOutcome> CellLog::Verified(const Fingerprint& fp, uint64_t hash,
+                                             bool catch_up) {
+  CellOutcome outcome;
+  uint64_t offset = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (catch_up && !IndexNewRecords()) {
@@ -266,50 +302,81 @@ std::optional<CellResult> ResultCache::Verified(const Fingerprint& fp, uint64_t 
     if (it == index_.end() || it->second.transcript_bytes != fp.text().size()) {
       return std::nullopt;
     }
-    entry = it->second;
+    const IndexEntry& entry = it->second;
+    offset = entry.transcript_offset;
+    outcome.ok = entry.failure == nullptr;
+    if (outcome.ok) {
+      outcome.result = entry.value;
+    } else {
+      outcome.failure = *entry.failure;
+    }
   }
   // Outside the lock, so concurrent hits read in parallel. Byte-for-byte transcript
   // match: a hash collision, stale schema or damaged record is a miss, not a wrong
   // answer.
   std::string transcript;
-  log_.ReadAt(entry.transcript_offset, entry.transcript_bytes, &transcript);
+  ReadAt(fd_, offset, fp.text().size(), &transcript);
   if (transcript != fp.text()) {
     return std::nullopt;
   }
-  return entry.value;
+  return outcome;
 }
 
-std::optional<CellResult> ResultCache::Lookup(const Fingerprint& fp) {
+std::optional<CellOutcome> CellLog::Lookup(const Fingerprint& fp) {
   const uint64_t hash = fp.Hash();
-  std::optional<CellResult> result = Verified(fp, hash, /*catch_up=*/false);
-  if (!result.has_value()) {
+  std::optional<CellOutcome> outcome = Verified(fp, hash, /*catch_up=*/false);
+  if (!outcome.has_value()) {
     // Another instance or process may have stored it since the last scan.
-    result = Verified(fp, hash, /*catch_up=*/true);
+    outcome = Verified(fp, hash, /*catch_up=*/true);
   }
-  (result.has_value() ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
-  return result;
+  return outcome;
+}
+
+bool CellLog::Store(const Fingerprint& fp, const CellOutcome& outcome) {
+  const uint64_t hash = fp.Hash();
+  const std::string record = FormatRecord(fp, hash, outcome);
+  const uint64_t header = record.find('\n') + 1;
+  if (record.size() - header > kMaxBodyBytes) {
+    return false;  // a scan would reject the record
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  // One write() at the end of the file; a short write leaves a torn tail that scans
+  // skip.
+  if (::write(fd_, record.data(), record.size()) != static_cast<ssize_t>(record.size())) {
+    return false;
+  }
+  const int64_t end = ::lseek(fd_, 0, SEEK_CUR);  // O_APPEND left it just past our bytes
+  // The record landed right where the last scan ended: index it now instead of reading
+  // it back on the next miss. Like a scan, the index keeps a failure's kind, message
+  // and diagnostic only.
+  const int64_t start = end - static_cast<int64_t>(record.size());
+  if (start == scanned_size_ && resume_ == static_cast<uint64_t>(scanned_size_)) {
+    std::unique_ptr<const CellFailure> failure;
+    if (!outcome.ok) {
+      const CellFailure& f = outcome.failure;
+      failure = std::make_unique<const CellFailure>(
+          CellFailure{"", 0, f.kind, f.message, f.diagnostic});
+    }
+    index_[hash] = {outcome.result, std::move(failure), static_cast<uint64_t>(start) + header,
+                    fp.text().size()};
+    resume_ = static_cast<uint64_t>(end);
+    scanned_size_ = end;
+  }
+  return true;
+}
+
+ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)), log_(LogPathIn(dir_)) {}
+
+std::optional<CellResult> ResultCache::Lookup(const Fingerprint& fp) {
+  const std::optional<CellOutcome> outcome = log_.Lookup(fp);
+  const bool hit = outcome.has_value() && outcome->ok;
+  (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  return hit ? std::optional<CellResult>(outcome->result) : std::nullopt;
 }
 
 void ResultCache::Store(const Fingerprint& fp, const CellResult& value) {
-  if (fp.text().size() > kMaxTranscriptBytes) {
-    return;  // a scan would reject the record
-  }
-  const uint64_t hash = fp.Hash();
-  const std::string record = FormatRecord(fp, hash, value);
-  std::lock_guard<std::mutex> lock(mutex_);
-  const int64_t end = log_.Append(record);
-  if (end < 0) {
-    return;
-  }
-  stores_.fetch_add(1, std::memory_order_relaxed);
-  // The record landed right where the last scan ended: index it now instead of reading
-  // it back on the next miss.
-  if (end - static_cast<int64_t>(record.size()) == scanned_size_ &&
-      resume_ == static_cast<uint64_t>(scanned_size_)) {
-    const uint64_t length = fp.text().size();
-    index_[hash] = {value, static_cast<uint64_t>(end) - length, length};
-    resume_ = static_cast<uint64_t>(end);
-    scanned_size_ = end;
+  if (log_.Store(fp, CellOutcome{true, value, {}})) {
+    stores_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

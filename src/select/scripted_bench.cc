@@ -18,6 +18,8 @@ namespace {
 // `runs`. Never throws for a cell-level failure — a deadlocked, livelocked, or
 // otherwise crashed simulation comes back as a structured CellFailure so the sweep
 // completes and quarantines instead of dying (the resilience contract in the header).
+// The failure carries kind, message and diagnostic, as the journal keeps it; the
+// sweep names the cell when it reports it.
 exec::CellOutcome EvaluateCell(const SweepConfig& config, const RunSpec& spec,
                                const std::string& lock, int threads, int local_level) {
   exec::Fingerprint fp;
@@ -27,7 +29,7 @@ exec::CellOutcome EvaluateCell(const SweepConfig& config, const RunSpec& spec,
   // Journal first: it also replays failures, so a resumed sweep reproduces its
   // quarantine report without re-running a cell that, say, deadlocked for minutes.
   if (config.journal != nullptr) {
-    if (auto journaled = config.journal->Lookup(fp, lock, threads)) {
+    if (auto journaled = config.journal->Lookup(fp)) {
       return *journaled;
     }
   }
@@ -37,7 +39,7 @@ exec::CellOutcome EvaluateCell(const SweepConfig& config, const RunSpec& spec,
       outcome.ok = true;
       outcome.result = *cached;
       if (config.journal != nullptr) {
-        config.journal->Record(fp, lock, threads, outcome);
+        config.journal->Record(fp, outcome);
       }
       return outcome;
     }
@@ -67,18 +69,16 @@ exec::CellOutcome EvaluateCell(const SweepConfig& config, const RunSpec& spec,
     }
   } catch (const sim::SimWatchdogError& e) {
     outcome.ok = false;
-    outcome.failure = {lock, threads, "watchdog", e.summary(),
-                       e.diagnostic().Format()};
+    outcome.failure = {"", 0, "watchdog", e.summary(), e.diagnostic().Format()};
   } catch (const sim::SimDeadlockError& e) {
     outcome.ok = false;
-    outcome.failure = {lock, threads, "deadlock", e.summary(),
-                       e.diagnostic().Format()};
+    outcome.failure = {"", 0, "deadlock", e.summary(), e.diagnostic().Format()};
   } catch (const std::exception& e) {
     outcome.ok = false;
-    outcome.failure = {lock, threads, "exception", e.what(), ""};
+    outcome.failure = {"", 0, "exception", e.what(), ""};
   }
   if (config.journal != nullptr) {
-    config.journal->Record(fp, lock, threads, outcome);
+    config.journal->Record(fp, outcome);
   }
   return outcome;
 }
@@ -201,6 +201,8 @@ SweepResult RunScriptedBenchmark(const SweepConfig& config) {
       // The curve keeps its zeroed slots: partial data stays inspectable, and the
       // lock is quarantined out of selection below.
       cell_failures[task] = std::make_unique<exec::CellFailure>(outcome.failure);
+      cell_failures[task]->lock_name = names[li];
+      cell_failures[task]->num_threads = result.thread_counts[ti];
     }
     if (cells_remaining[li].fetch_sub(1, std::memory_order_acq_rel) == 1) {
       deliver_in_order(li);

@@ -13,7 +13,10 @@
 // The sweep is also resilient: a cell whose simulation deadlocks, livelocks, or throws
 // becomes a structured CellFailure — the lock is quarantined out of selection, the
 // rest of the sweep completes — and an optional SweepJournal makes an interrupted
-// sweep resumable with byte-identical final output.
+// sweep resumable with byte-identical final output. The cache and the journal are two
+// instances of one cell log (src/exec/result_cache.h): the same records, the same
+// transcript check on every hit; the cache keeps successes only, the journal failures
+// too.
 #ifndef CLOF_SRC_SELECT_SCRIPTED_BENCH_H_
 #define CLOF_SRC_SELECT_SCRIPTED_BENCH_H_
 
@@ -26,7 +29,6 @@
 #include "src/clof/registry.h"
 #include "src/clof/run_spec.h"
 #include "src/exec/result_cache.h"
-#include "src/exec/sweep_journal.h"
 #include "src/fault/scenarios.h"
 #include "src/harness/lock_bench.h"
 #include "src/select/selection.h"
@@ -65,7 +67,7 @@ struct SweepConfig {
   // Optional content-addressed result cache; cells whose fingerprint matches a stored
   // entry are served without simulating. Never changes results.
   exec::ResultCache* cache = nullptr;
-  // Optional resumable journal (src/exec/sweep_journal.h): finished cells — successes
+  // Optional resumable journal (src/exec/result_cache.h): finished cells — successes
   // and failures — are recorded as they complete, and a re-run with the same journal
   // serves them instead of recomputing, so an interrupted sweep resumes where it was
   // killed. Never changes results: the resumed output is byte-identical to an

@@ -101,6 +101,9 @@ TEST(CliErrorTest, MalformedCommandLinesExitTwoNamingTheFlag) {
       {CLOF_TORTURE, {"--scenarios=preempt,,churn"}, "--scenarios"},
       {FIG9_SWEEP, {"--quik"}, "--quik"},
       {FIG9_SWEEP, {"--quick=0"}, "--quick"},
+      // A duration is positive: 0 used to abort inside the harness, not exit 2.
+      {FIG9_SWEEP, {"--only=d", "--duration_ms=0"}, "--duration_ms"},
+      {FIG9_SWEEP, {"--only=d", "--duration_ms=-1"}, "--duration_ms"},
   };
   for (const Case& c : cases) {
     std::string command = c.binary;

@@ -452,6 +452,50 @@ TEST(ResultCacheTest, TranscriptMismatchUnderSameAddressMisses) {
   ExpectHit(cache, fp, CellResult{9.0, 0.0, 0.0});
 }
 
+TEST(ResultCacheTest, OkRecordBytesMatchCapture) {
+  // A successful cell's record is what every existing cache directory holds: its bytes,
+  // captured at 0708e98, must not change, and a log holding exactly them must be served.
+  const std::string captured =
+      "clof-cell-cache v2 5890a8514bef1498 0x1.8p+0 0x1.8p-1 0x1.22p+4 0x1.b84p+9 "
+      "0x1p+10 0x1p+1 43 54cf31738bbf1f00\n"
+      "lock=mcs-tkt\nthreads=16\nduration_ms=0x1p-1\n";
+  Fingerprint fp;
+  fp.Add("lock", "mcs-tkt");
+  fp.Add("threads", 16);
+  fp.Add("duration_ms", 0.5);
+  const CellResult value{1.5, 0.75, 18.125, 880.5, 1024.0, 2.0};
+  const std::string written = CacheDir("ok-record-written");
+  ResultCache(written).Store(fp, value);
+  EXPECT_EQ(ReadFile(LogPath(written)), captured);
+
+  const std::string served = CacheDir("ok-record-served");
+  std::filesystem::create_directories(served);
+  WriteFile(LogPath(served), captured);
+  ResultCache cache(served);
+  ExpectHit(cache, fp, value);
+  EXPECT_EQ(cache.misses(), 0u);
+}
+
+TEST(ResultCacheTest, FailedCellRecordIsAMiss) {
+  // The cache answers with successful outcomes only: a failed cell recorded in its log
+  // (through the journal's side of the format) reads as absent.
+  const std::string dir = CacheDir("failed-record");
+  std::filesystem::create_directories(dir);
+  Fingerprint fp = TestFp();
+  {
+    CellLog log(LogPath(dir));
+    CellOutcome failed;
+    failed.failure.kind = "deadlock";
+    failed.failure.message = "all threads parked";
+    ASSERT_TRUE(log.Store(fp, failed));
+    EXPECT_EQ(log.Lookup(fp), failed);
+  }
+  ResultCache cache(dir);
+  EXPECT_FALSE(cache.Lookup(fp).has_value());
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), 0u);
+}
+
 TEST(ResultCacheTest, PersistsAcrossInstances) {
   std::string dir = CacheDir("persist");
   Fingerprint fp = TestFp();

@@ -1,11 +1,9 @@
-// Tests for the resumable sweep journal (src/exec/sweep_journal.h) and the resilient
-// sweep (quarantine + partial results): an interrupted-then-resumed sweep must be
-// byte-identical to an uninterrupted one — failures included — for any executor width
-// and with or without the result cache; a journal that does not match the sweep's
-// configuration must be ignored, not trusted; and a cut or corrupted journal serves
-// each cell its recorded outcome or nothing.
-#include "src/exec/sweep_journal.h"
-
+// Tests for the resumable sweep journal (the cell log of src/exec/result_cache.h on a
+// file of the run's choosing) and the resilient sweep (quarantine + partial results):
+// an interrupted-then-resumed sweep must be byte-identical to an uninterrupted one —
+// failures included — for any executor width and with or without the result cache; a
+// journal that does not match the sweep's configuration must be ignored, not trusted;
+// and a cut or corrupted journal serves each cell its recorded outcome or nothing.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -128,6 +126,16 @@ void WriteFile(const std::string& path, const std::string& content) {
   out << content;
 }
 
+// The offset of every record in a cell log: each starts with the header magic.
+std::vector<size_t> RecordStarts(const std::string& log) {
+  const std::string magic = "clof-cell-cache v" + std::to_string(exec::kCellSchemaVersion) + " ";
+  std::vector<size_t> starts;
+  for (size_t at = log.find(magic); at != std::string::npos; at = log.find(magic, at + 1)) {
+    starts.push_back(at);
+  }
+  return starts;
+}
+
 // ---------------------------------------------------------------------------
 // Resilient sweep: quarantine + partial results
 // ---------------------------------------------------------------------------
@@ -243,20 +251,15 @@ TEST(SweepJournalTest, ResumeIsByteIdenticalAcrossTruncationsAndJobs) {
     config.journal = nullptr;
   }
   const std::string full = ReadFile(full_path);
-  std::vector<size_t> newlines;
-  for (size_t i = 0; i < full.size(); ++i) {
-    if (full[i] == '\n') {
-      newlines.push_back(i);
-    }
-  }
-  ASSERT_GE(newlines.size(), 3u);  // header + >= 2 records
+  const std::vector<size_t> starts = RecordStarts(full);
+  ASSERT_GE(starts.size(), 3u);  // >= 2 whole records before the third
   const size_t cells = config.lock_names.size() * config.thread_counts.size();
 
   // Interrupt the run at three different points: after a record boundary, mid-record
-  // (torn append, no newline), and mid-record with a corrupt-but-terminated line.
-  const std::string boundary = full.substr(0, newlines[2] + 1);
-  const std::string torn = full.substr(0, newlines[2] + 1 + 7);
-  const std::string corrupt = full.substr(0, newlines[2] + 1 + 7) + "garbage\n";
+  // (torn append), and mid-record followed by garbage bytes.
+  const std::string boundary = full.substr(0, starts[2]);
+  const std::string torn = full.substr(0, starts[2] + 7);
+  const std::string corrupt = full.substr(0, starts[2] + 7) + "garbage\n";
 
   for (const auto& [tag, content] :
        std::vector<std::pair<std::string, std::string>>{
@@ -272,8 +275,8 @@ TEST(SweepJournalTest, ResumeIsByteIdenticalAcrossTruncationsAndJobs) {
       EXPECT_EQ(Serialize(RunScriptedBenchmark(resumed)), baseline)
           << tag << " jobs=" << jobs;
       EXPECT_EQ(journal.served(), 2u) << tag;  // recovered cells were not recomputed
-      // The resumed run's appends follow the intact prefix (the damaged tail was cut
-      // at open), so reopening the journal loads every cell.
+      // The resumed run's appends follow the damaged tail, and a scan resynchronises
+      // past it, so reopening the journal loads every cell.
       EXPECT_EQ(exec::SweepJournal(path).loaded(), cells) << tag << " jobs=" << jobs;
     }
   }
@@ -355,10 +358,9 @@ TEST(SweepJournalTest, CutOrFlippedJournalsServeRecordedOutcomesOrNothing) {
   // in exec_test.cc: a journal of ok and fail records cut at every byte offset and hit
   // by a fixed set of seeded single-byte flips. Every Lookup returns the recorded
   // outcome exactly or nothing, and every record that ends before the damage is served.
+  // A failure is kept as kind, message and diagnostic: the fingerprint names the cell.
   struct Cell {
     exec::Fingerprint fp;
-    std::string lock_name;
-    int num_threads = 0;
     exec::CellOutcome outcome;
   };
   auto ok = [](exec::CellResult result) {
@@ -367,38 +369,35 @@ TEST(SweepJournalTest, CutOrFlippedJournalsServeRecordedOutcomesOrNothing) {
     outcome.result = result;
     return outcome;
   };
-  auto fail = [](const std::string& lock_name, int num_threads, const std::string& kind,
-                 const std::string& message, const std::string& diagnostic) {
+  auto fail = [](const std::string& kind, const std::string& message,
+                 const std::string& diagnostic) {
     exec::CellOutcome outcome;
-    outcome.failure = {lock_name, num_threads, kind, message, diagnostic};
+    outcome.failure.kind = kind;
+    outcome.failure.message = message;
+    outcome.failure.diagnostic = diagnostic;
     return outcome;
   };
   std::vector<Cell> cells = {
-      {{}, "mcs-tkt", 4, ok({0.1 + 0.2, 1.0 / 3.0, -0.0, 5e-324, 1e308, 3.0})},
-      {{}, "mut-skip-unlock", 16, fail("mut-skip-unlock", 16, "deadlock",
-                                       "all 16 threads parked\\",
-                                       "thread 0: parked on line #3\n\tlast: store 0x1p+0\n"
-                                       "thread 1: parked on line #3\\n\n")},
-      {{}, "hmcs", 127, ok({1.5, 0.5, 0.0, 880.5, 1e-300, 0.0})},
-      {{}, "mut-stuck-spin", 2, fail("mut-stuck-spin", 2, "watchdog", "no progress", "")},
+      {{}, ok({0.1 + 0.2, 1.0 / 3.0, -0.0, 5e-324, 1e308, 3.0})},
+      {{}, fail("deadlock", "all 16 threads parked\\",
+                "thread 0: parked on line #3\n\tlast: store 0x1p+0\n"
+                "thread 1: parked on line #3\\n\n")},
+      {{}, ok({1.5, 0.5, 0.0, 880.5, 1e-300, 0.0})},
+      {{}, fail("watchdog", "no progress", "")},
   };
   const std::string source = TempPath("adversarial-source.journal");
   {
     exec::SweepJournal writer(source);
     for (size_t i = 0; i < cells.size(); ++i) {
       cells[i].fp.Add("cell", static_cast<int>(i));
-      writer.Record(cells[i].fp, cells[i].lock_name, cells[i].num_threads, cells[i].outcome);
+      writer.Record(cells[i].fp, cells[i].outcome);
     }
   }
   const std::string journal = ReadFile(source);
-  std::vector<size_t> ends;  // one past each record's newline; the header comes first
-  for (size_t i = 0; i < journal.size(); ++i) {
-    if (journal[i] == '\n') {
-      ends.push_back(i + 1);
-    }
-  }
-  ASSERT_EQ(ends.size(), cells.size() + 1);
-  ends.erase(ends.begin());
+  const std::vector<size_t> starts = RecordStarts(journal);
+  ASSERT_EQ(starts.size(), cells.size());
+  std::vector<size_t> ends(starts.begin() + 1, starts.end());  // one past each record
+  ends.push_back(journal.size());
 
   // `damage` is the offset of the first damaged or missing byte: every record that ends
   // at or before it must be served.
@@ -407,7 +406,7 @@ TEST(SweepJournalTest, CutOrFlippedJournalsServeRecordedOutcomesOrNothing) {
     WriteFile(probe, bytes);
     exec::SweepJournal reopened(probe);
     for (size_t i = 0; i < cells.size(); ++i) {
-      auto hit = reopened.Lookup(cells[i].fp, cells[i].lock_name, cells[i].num_threads);
+      auto hit = reopened.Lookup(cells[i].fp);
       if (hit.has_value()) {
         EXPECT_EQ(*hit, cells[i].outcome) << what << ": record " << i;
       } else {

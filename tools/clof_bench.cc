@@ -24,7 +24,6 @@
 #include "src/discover/heatmap.h"
 #include "src/exec/executor.h"
 #include "src/exec/result_cache.h"
-#include "src/exec/sweep_journal.h"
 #include "src/fault/scenarios.h"
 #include "src/harness/lock_bench.h"
 #include "src/harness/service_bench.h"
@@ -381,7 +380,8 @@ std::vector<std::string> CombiningSweepNames(const Registry& registry,
   return names;
 }
 
-// --cache and --journal, opened for a sweep and attached to its config.
+// --cache and --journal, opened for a sweep and attached to its config; a journal that
+// already holds cells says so.
 struct Stores {
   std::unique_ptr<exec::ResultCache> cache;
   std::unique_ptr<exec::SweepJournal> journal;
@@ -396,6 +396,10 @@ Stores OpenStores(const bench::Flags& flags, select::SweepConfig& config) {
   if (const std::string path = flags.GetString("journal", ""); !path.empty()) {
     stores.journal = std::make_unique<exec::SweepJournal>(path);
     config.journal = stores.journal.get();
+    if (stores.journal->loaded() > 0) {
+      std::printf("journal %s: resuming past %zu completed cell(s)\n", path.c_str(),
+                  stores.journal->loaded());
+    }
   }
   return stores;
 }
@@ -505,10 +509,6 @@ int SweepMode(const Context& context) {
     }
   }
   const Stores stores = OpenStores(flags, config);
-  if (stores.journal != nullptr && stores.journal->loaded() > 0) {
-    std::printf("journal %s: resuming past %zu completed cell(s)\n",
-                stores.journal->path().c_str(), stores.journal->loaded());
-  }
   if (robustness != 0 || latency != 0) {
     return PerturbationSweep(config, stores, latency != 0, latency != 0 ? latency : robustness);
   }
@@ -720,7 +720,7 @@ int ServiceMode(const Context& context) {
 
   auto selection = select::RunSiteSelection(config);
   PrintSiteSelection(selection, config.calibration_load_per_us);
-  PrintCacheAndJournal(stores.cache.get(), nullptr);
+  PrintCacheAndJournal(stores.cache.get(), stores.journal.get());
   if (selection.global_winner.empty()) {
     std::fprintf(stderr, "error: no composition survived every site's sweep\n");
     return 1;
