@@ -67,10 +67,24 @@ run_stage() {
   statuses+=("${status}")
 }
 
+# Runs "$@" and prints its wall time on one line, `LABEL wall time: N.Ns`, whether or
+# not it succeeds; returns its exit status.
+timed() {
+  local label="$1" start status
+  shift
+  start="${EPOCHREALTIME}"
+  "$@"
+  status=$?
+  awk -v label="${label}" -v start="${start}" -v end="${EPOCHREALTIME}" \
+    'BEGIN { printf "%s wall time: %.1fs\n", label, end - start }'
+  return "${status}"
+}
+
+# The tier-1 stage prints the wall time of its build and of its ctest run.
 tier1() {
   cmake --preset default &&
-    cmake --build --preset default -j "$(nproc)" &&
-    ctest --preset default -j "$(nproc)"
+    timed "tier-1 build" cmake --build --preset default -j "$(nproc)" &&
+    timed "tier-1 ctest" ctest --preset default -j "$(nproc)"
 }
 
 torture_smoke() {

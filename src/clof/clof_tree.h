@@ -10,6 +10,12 @@
 //   Compose<M, A, B, C, ...>  — convenience alias expanding to the nested type, locks
 //                               listed from the lowest level to the system level.
 //
+// Native code and the mck explorer compose static basic locks, so each composition is
+// its own type and a native lock pays no dispatch (§4.1). The simulated registries
+// compose this same code over the basic-lock slot locks::AnyBasic, which picks each
+// level's lock at run time from `kinds` (see src/locks/any_basic.h for why that cannot
+// move a simulated result).
+//
 // Acquire/Release implement lockgen (Figure 8) exactly:
 //
 //   acquire: inc_waiters; acq(low); dec_waiters;
@@ -31,10 +37,13 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "src/locks/any_basic.h"
 #include "src/locks/traits.h"
 #include "src/mem/memory_policy.h"
 #include "src/topo/topology.h"
@@ -77,6 +86,33 @@ struct ClofParams {
 
 namespace internal {
 
+// The basic lock of level `depth_index`: a static basic lock is default-constructed,
+// the slot locks::AnyBasic holds the lock kinds[depth_index] names (kinds lists one per
+// level, lowest first).
+template <class L>
+L MakeLevelLock(std::span<const locks::BasicKind> kinds, int depth_index) {
+  if constexpr (std::is_constructible_v<L, locks::BasicKind>) {
+    if (depth_index >= static_cast<int>(kinds.size())) {
+      throw std::invalid_argument("CLoF composition over the basic-lock slot needs a lock kind "
+                                  "for every level");
+    }
+    return L(kinds[depth_index]);
+  } else {
+    return L();
+  }
+}
+
+// A level lock's name in the paper's notation: a basic lock's kName, or the name of
+// the lock a slot holds.
+template <class L>
+std::string LevelName(const L& lock) {
+  if constexpr (requires { L::kName; }) {
+    return L::kName;
+  } else {
+    return lock.name();
+  }
+}
+
 // Per-level timeout shim shared by the composition cases: an abortable basic lock
 // bounds the wait for real; for any other lock a timeout <= 0 fails without waiting
 // and a positive one degenerates to the blocking Acquire (best effort, mirroring
@@ -106,12 +142,14 @@ class ClofRoot {
   static constexpr bool kIsFair = L::kIsFair;
   static constexpr int kLevels = 1;
 
-  ClofRoot(const topo::Hierarchy& hierarchy, int depth_index, const ClofParams& params) {
+  ClofRoot(const topo::Hierarchy& hierarchy, int depth_index, const ClofParams& params,
+           std::span<const locks::BasicKind> kinds = {})
+      : lock_(internal::MakeLevelLock<L>(kinds, depth_index)) {
     (void)params;
     if (depth_index != hierarchy.depth() - 1 || hierarchy.NumCohorts(depth_index) != 1) {
       throw std::invalid_argument(
-          "CLoF composition depth does not match the hierarchy depth (lock '" + Name() +
-          "' vs hierarchy '" + hierarchy.Describe() + "')");
+          "CLoF composition depth does not match the hierarchy depth (lock '" +
+          internal::LevelName(lock_) + "' vs hierarchy '" + hierarchy.Describe() + "')");
     }
   }
 
@@ -170,15 +208,18 @@ class ClofTree {
   // whole multi-level wait (docs/TIMEOUT.md).
   static constexpr bool kIsAbortable = locks::AbortableLock<Low> && High::kIsAbortable;
 
-  ClofTree(const topo::Hierarchy& hierarchy, int depth_index, const ClofParams& params)
+  // `kinds` names each level's lock, lowest first, when the levels are basic-lock slots
+  // (locks::AnyBasic); compositions of static basic locks pass none.
+  ClofTree(const topo::Hierarchy& hierarchy, int depth_index, const ClofParams& params,
+           std::span<const locks::BasicKind> kinds = {})
       : hierarchy_(hierarchy),
         depth_index_(depth_index),
         params_(params),
-        high_(hierarchy, depth_index + 1, params) {
+        high_(hierarchy, depth_index + 1, params, kinds) {
     int cohorts = hierarchy.NumCohorts(depth_index);
     nodes_.reserve(cohorts);
     for (int i = 0; i < cohorts; ++i) {
-      nodes_.push_back(std::make_unique<Node>());
+      nodes_.push_back(std::make_unique<Node>(kinds, depth_index));
     }
   }
 
@@ -299,6 +340,9 @@ class ClofTree {
 
  private:
   struct alignas(64) Node {
+    Node(std::span<const locks::BasicKind> kinds, int depth_index)
+        : low(internal::MakeLevelLock<Low>(kinds, depth_index)) {}
+
     Low low;
     // The composition metadata lives on its own cache line, away from the low lock
     // word: the lock word is written on every handover, while has_high only changes on

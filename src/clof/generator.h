@@ -1,10 +1,12 @@
-// Exhaustive CLoF lock generation (paper §4.3): with N basic locks and M hierarchy
-// levels, instantiate all N^M compositions at compile time and register a factory for
-// each. The basic set is the paper's: Ticketlock, MCS, CLH, Hemlock.
+// CLoF lock generation by compile-time syntactic recursion (paper §4.1, §4.3): with N
+// basic locks and M hierarchy levels, instantiate all N^M compositions as static types
+// and register a factory for each. The basic set is the paper's: Ticketlock, MCS, CLH,
+// Hemlock.
 //
-// Instantiating the full depth-4 enumeration costs real compiler time (~340 distinct
-// composition types per memory policy); call sites live in dedicated translation units
-// (registry_sim_*.cc, registry_native.cc) so the rest of the build never pays for it.
+// Only the native registry (registry_native.cc) enumerates this way, for depths 1..3:
+// natively the host instructions are the cost, and each composition inlines its basic
+// locks. The simulated registries (registry_sim.cc) compose the same ClofTree over the
+// run-time basic-lock slot instead, four tree types in all.
 #ifndef CLOF_SRC_CLOF_GENERATOR_H_
 #define CLOF_SRC_CLOF_GENERATOR_H_
 
@@ -53,21 +55,13 @@ struct GenerateCombos {
 
 }  // namespace internal
 
-// Registers all combinations of depth 1..MaxDepth (depth-1 entries double as the plain
-// NUMA-oblivious locks "tkt", "mcs", "clh", "hem").
-template <class M, bool CtrHem, int MaxDepth = 4>
+// Registers all combinations of depth 1..3, the depths the native registry enumerates
+// (depth-1 entries double as the plain NUMA-oblivious locks "tkt", "mcs", "clh", "hem").
+template <class M, bool CtrHem>
 void GenerateAllClofLocks(Registry& registry) {
   internal::GenerateCombos<M, CtrHem, 1>::Run(registry, "");
-  if constexpr (MaxDepth >= 2) {
-    internal::GenerateCombos<M, CtrHem, 2>::Run(registry, "");
-  }
-  if constexpr (MaxDepth >= 3) {
-    internal::GenerateCombos<M, CtrHem, 3>::Run(registry, "");
-  }
-  if constexpr (MaxDepth >= 4) {
-    internal::GenerateCombos<M, CtrHem, 4>::Run(registry, "");
-  }
-  static_assert(MaxDepth <= 4, "extend the ladder above for deeper enumerations");
+  internal::GenerateCombos<M, CtrHem, 2>::Run(registry, "");
+  internal::GenerateCombos<M, CtrHem, 3>::Run(registry, "");
 }
 
 }  // namespace clof

@@ -1,9 +1,11 @@
 // Type-erased lock interface.
 //
-// The CLoF composition is fully static (templates all the way down); this interface
+// A native CLoF composition is fully static (templates all the way down); this interface
 // erases the concrete tree type at the outermost boundary only, so that benchmarks and
 // the scripted lock selector can iterate over hundreds of generated locks by name.
 // Native users who care about the last nanosecond can use the Compose<> types directly.
+// The simulated registries compose the same tree over a run-time basic-lock slot
+// (clof_tree.h), one tree type per depth.
 #ifndef CLOF_SRC_CLOF_LOCK_H_
 #define CLOF_SRC_CLOF_LOCK_H_
 
@@ -100,12 +102,15 @@ class Lock {
 };
 
 // Adapts a concrete composition tree (or any type with the same Context/Acquire/Release
-// shape) to the type-erased interface.
+// shape) to the type-erased interface. `level_args` go on to the tree's constructor: the
+// lock kinds of a composition over the basic-lock slot (clof_tree.h).
 template <class Tree>
 class TreeLock final : public Lock {
  public:
-  TreeLock(std::string name, const topo::Hierarchy& hierarchy, const ClofParams& params)
-      : name_(std::move(name)), tree_(hierarchy, 0, params) {}
+  template <class... LevelArgs>
+  TreeLock(std::string name, const topo::Hierarchy& hierarchy, const ClofParams& params,
+           const LevelArgs&... level_args)
+      : name_(std::move(name)), tree_(hierarchy, 0, params, level_args...) {}
 
   std::unique_ptr<Lock::Context> MakeContext() override {
     return std::make_unique<ContextImpl>();

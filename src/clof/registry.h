@@ -23,11 +23,13 @@ namespace clof {
 
 class Registry {
  public:
-  // The registry passes the registered name back to the factory. The 340-type
-  // enumeration still registers one stateless function per lock type (cheap to
-  // compile; function pointers convert implicitly), but the type is std::function so
-  // wrappers like adaptive::WithAdaptive can register capturing factories — e.g. a
-  // facade that closes over a base registry and a preselected LC/HC lock pair.
+  // The registry passes the registered name back to the factory, so one stateless
+  // function can serve many names: the simulated registries build all 340 generated
+  // compositions with one factory that reads the lock kinds from the name, and the
+  // native enumeration registers one function per static composition type. Function
+  // pointers convert implicitly, but the type is std::function so wrappers like
+  // adaptive::WithAdaptive can register capturing factories — e.g. a facade that
+  // closes over a base registry and a preselected LC/HC lock pair.
   using Factory = std::function<std::unique_ptr<Lock>(const std::string& name,
                                                       const topo::Hierarchy& hierarchy,
                                                       const ClofParams& params)>;
@@ -85,8 +87,10 @@ class Registry {
   std::string description_ = "custom";
 };
 
-// Registries with all CLoF combinations of the paper's basic-lock set {tkt, mcs, clh,
-// hem} for depths 1..4, plus all baselines, per memory policy. `ctr_hem` selects the
+// SimRegistry: all CLoF combinations of the paper's basic-lock set {tkt, mcs, clh, hem}
+// for depths 1..4, each the same ClofTree over the run-time basic-lock slot, plus all
+// baselines. NativeRegistry: every combination of depth 1..3 and the six featured
+// depth-4 locks as static compositions, plus all baselines. `ctr_hem` selects the
 // Hemlock CTR optimization (true for x86 platforms, false for Arm). Built once on
 // first use; safe to call concurrently from multiple host threads (C++ magic-static
 // initialization — the parallel sweep executor's workers rely on this, and

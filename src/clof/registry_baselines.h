@@ -1,5 +1,5 @@
-// Baseline registration shared by all registries (included only by the enumeration
-// translation units).
+// Baseline registration shared by all registries (included only by the registry
+// builders, registry_sim.cc and registry_native.cc).
 #ifndef CLOF_SRC_CLOF_REGISTRY_BASELINES_H_
 #define CLOF_SRC_CLOF_REGISTRY_BASELINES_H_
 

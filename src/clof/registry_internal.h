@@ -1,6 +1,7 @@
-// Internal glue between registry.cc and the per-policy enumeration translation units.
-// Each builder lives in its own .cc file because instantiating the full composition
-// enumeration dominates compile time (see generator.h).
+// Internal glue between registry.cc and the registry builders. The native builders live
+// in their own translation unit because the static enumeration of every composition
+// dominates its compile time (generator.h); the simulated builders compose one tree
+// type per depth over the basic-lock slot and compile quickly.
 #ifndef CLOF_SRC_CLOF_REGISTRY_INTERNAL_H_
 #define CLOF_SRC_CLOF_REGISTRY_INTERNAL_H_
 
@@ -8,8 +9,8 @@
 
 namespace clof::internal {
 
-Registry BuildSimRegistryCtr();      // registry_sim_ctr.cc
-Registry BuildSimRegistryNoCtr();    // registry_sim_noctr.cc
+Registry BuildSimRegistryCtr();      // registry_sim.cc
+Registry BuildSimRegistryNoCtr();
 Registry BuildNativeRegistryCtr();   // registry_native.cc
 Registry BuildNativeRegistryNoCtr();
 

@@ -1,7 +1,5 @@
-// Native (std::atomic) registries. By default these enumerate depths 1..3 plus the
-// named 4-level locks the paper's evaluation features; define CLOF_FULL_NATIVE_REGISTRY
-// (CMake option of the same name) for the full 4-level enumeration — it roughly doubles
-// the library's compile time and is only needed to run the scripted selection natively.
+// Native (std::atomic) registries: every composition of depth 1..3 plus the named
+// 4-level locks the paper's evaluation features, each its own static type (§4.1).
 #include "src/clof/generator.h"
 #include "src/clof/registry_baselines.h"
 #include "src/mem/native.h"
@@ -9,7 +7,6 @@
 namespace clof::internal {
 namespace {
 
-#ifndef CLOF_FULL_NATIVE_REGISTRY
 // The best/worst 4-level compositions reported in the paper's Figures 9 and 10.
 template <class M, bool Ctr>
 void RegisterFeaturedDepth4(Registry& registry) {
@@ -19,9 +16,7 @@ void RegisterFeaturedDepth4(Registry& registry) {
   using Hem = locks::Hemlock<M, Ctr>;
   auto reg = [&registry](const std::string& name, auto tag) {
     using Tree = typename decltype(tag)::type;
-    if (!registry.Contains(name)) {
-      registry.Register(name, 4, Tree::kIsFair, &MakeTreeLock<Tree>);
-    }
+    registry.Register(name, 4, Tree::kIsFair, &MakeTreeLock<Tree>);
   };
   reg("hem-hem-mcs-clh", std::type_identity<Compose<M, Hem, Hem, Mcs, Clh>>{});
   reg("tkt-tkt-mcs-mcs", std::type_identity<Compose<M, Tkt, Tkt, Mcs, Mcs>>{});
@@ -30,17 +25,12 @@ void RegisterFeaturedDepth4(Registry& registry) {
   reg("tkt-clh-tkt-tkt", std::type_identity<Compose<M, Tkt, Clh, Tkt, Tkt>>{});
   reg("mcs-tkt-tkt-tkt", std::type_identity<Compose<M, Mcs, Tkt, Tkt, Tkt>>{});
 }
-#endif
 
 template <bool Ctr>
 Registry BuildNative() {
   Registry registry;
-#ifdef CLOF_FULL_NATIVE_REGISTRY
-  GenerateAllClofLocks<mem::NativeMemory, Ctr, 4>(registry);
-#else
-  GenerateAllClofLocks<mem::NativeMemory, Ctr, 3>(registry);
+  GenerateAllClofLocks<mem::NativeMemory, Ctr>(registry);
   RegisterFeaturedDepth4<mem::NativeMemory, Ctr>(registry);
-#endif
   RegisterBaselines<mem::NativeMemory>(registry);
   return registry;
 }

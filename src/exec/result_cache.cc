@@ -5,9 +5,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 #include <string_view>
@@ -236,10 +238,7 @@ bool ParseHexDouble(const std::string& text, double* out) {
 CellLog::CellLog(std::string path) : path_(std::move(path)) {
   fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
   if (fd_ < 0) {
-    fd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
-  }
-  if (fd_ < 0) {
-    throw std::runtime_error("cannot open " + path_);
+    throw std::runtime_error("cannot open " + path_ + " for appending: " + std::strerror(errno));
   }
   std::lock_guard<std::mutex> lock(mutex_);
   IndexNewRecords();

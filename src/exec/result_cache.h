@@ -99,9 +99,10 @@ bool ParseHexDouble(const std::string& text, double* out);
 
 class CellLog {
  public:
-  // Opens `path` with O_APPEND, creating it if missing (read-only when it cannot be
-  // written, in which case every Store fails), and indexes every intact record. Throws
-  // std::runtime_error when the file can be neither created nor read.
+  // Opens `path` for appending, creating it if missing, and indexes every intact
+  // record. Throws std::runtime_error naming the path when it cannot be opened for
+  // appending (a directory, or a file without write permission): a log that could only
+  // be read would drop every later record without a word.
   explicit CellLog(std::string path);
   ~CellLog();
   CellLog(const CellLog&) = delete;

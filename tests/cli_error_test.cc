@@ -1,10 +1,12 @@
 // The exit statuses of the command-line binaries. Each malformed command line in the
 // table must exit 2 before any simulation starts, print nothing on stdout, and name the
-// offending flag on the first line of stderr. A self-check (--check) that fails must
+// offending flag on the first line of stderr. A store path that cannot be written must
+// exit 1 naming the path before any cell runs. A self-check (--check) that fails must
 // exit 1 with CHECK FAILED on stderr, and pass with exit 0 when its run holds.
 // tests/CMakeLists.txt passes in the binaries' paths.
 #include <fcntl.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -117,6 +119,38 @@ TEST(CliErrorTest, MalformedCommandLinesExitTwoNamingTheFlag) {
     const std::string first_line = outcome.err.substr(0, outcome.err.find('\n'));
     EXPECT_NE(first_line.find(c.named), std::string::npos) << outcome.err;
   }
+}
+
+TEST(CliErrorTest, UnwritableStorePathsExitOneNamingThePath) {
+  // A --journal or --cache log that cannot be opened for appending fails the sweep
+  // before any cell runs; a log it could only read would drop every record. A
+  // directory stands in for an unwritable path, since permission bits do not stop root.
+  const std::string dir =
+      testing::TempDir() + "cli_error_test.store." + std::to_string(getpid());
+  const std::string log = dir + "/cells.log";
+  ASSERT_EQ(mkdir(dir.c_str(), 0755), 0);
+  ASSERT_EQ(mkdir(log.c_str(), 0755), 0);
+  struct StoreCase {
+    std::string flag;
+    std::string path;  // must appear on stderr's first line
+  };
+  const std::vector<StoreCase> cases = {
+      {"--journal=" + dir, dir},  // the journal names an existing directory
+      {"--cache=" + dir, log},    // the cache's cells.log is a directory
+  };
+  for (const StoreCase& c : cases) {
+    SCOPED_TRACE(c.flag);
+    const Outcome outcome =
+        RunCommand(CLOF_BENCH, {"--sweep", "--machine=arm", "--levels=numa,system",
+                                "--threads=1,4", "--duration_ms=0.1", c.flag});
+    EXPECT_EQ(outcome.exit_status, 1);
+    const std::string first_line = outcome.err.substr(0, outcome.err.find('\n'));
+    EXPECT_EQ(first_line.rfind("error: ", 0), 0u) << outcome.err;
+    EXPECT_NE(first_line.find(c.path), std::string::npos) << outcome.err;
+    EXPECT_EQ(outcome.out.find("swept"), std::string::npos) << outcome.out;
+  }
+  rmdir(log.c_str());
+  rmdir(dir.c_str());
 }
 
 TEST(CliErrorTest, AdaptiveCheckFailsWhenTheFacadeStopsTracking) {

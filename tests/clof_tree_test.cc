@@ -1,9 +1,13 @@
 // The CLoF composition itself: mutual exclusion at every depth, lock passing and the
-// keep_local threshold, the hook/counter waiter paths, and fairness propagation.
+// keep_local threshold, the hook/counter waiter paths, fairness propagation, and the
+// basic-lock slot reproducing the static compositions.
 #include "src/clof/clof_tree.h"
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/locks/any_basic.h"
 #include "src/locks/clh.h"
 #include "src/locks/hemlock.h"
 #include "src/locks/mcs.h"
@@ -81,6 +85,63 @@ TEST(ClofTreeTest, MutexDepth4AllTicket) {
   auto h =
       topo::Hierarchy::Select(machine.topology, {"cache", "numa", "package", "system"});
   MutexAtDepth<Compose<M, Tkt, Tkt, Tkt, Tkt>>(h, machine);
+}
+
+// Runs the static composition `Static` and the same composition over the basic-lock
+// slot, `kinds` naming each level's lock, and requires the same virtual finish time of
+// every thread and the same per-level counters: the slot must not move one simulated
+// access (src/locks/any_basic.h). Both waiter paths, hook and counter, are compared.
+template <class Static, class Slotted>
+void SlotMatchesStatic(const topo::Hierarchy& h, const sim::Machine& machine,
+                       const std::vector<locks::BasicKind>& kinds) {
+  for (bool hook : {true, false}) {
+    SCOPED_TRACE(hook ? "waiter hook" : "waiter counter");
+    const ClofParams params{.use_has_waiters_hook = hook};
+    Static static_tree(h, 0, params);
+    Slotted slot_tree(h, 0, params, kinds);
+    auto cpu_of = [&](int t) { return (t * 7) % machine.topology.num_cpus(); };
+    EXPECT_EQ(testutil::RunSimMutexTest(machine, static_tree, 24, 30, cpu_of),
+              testutil::RunSimMutexTest(machine, slot_tree, 24, 30, cpu_of));
+    const auto static_stats = static_tree.Stats();
+    const auto slot_stats = slot_tree.Stats();
+    ASSERT_EQ(static_stats.size(), slot_stats.size());
+    for (size_t level = 0; level < static_stats.size(); ++level) {
+      EXPECT_EQ(static_stats[level].acquisitions, slot_stats[level].acquisitions);
+      EXPECT_EQ(static_stats[level].inherited, slot_stats[level].inherited);
+      EXPECT_EQ(static_stats[level].local_passes, slot_stats[level].local_passes);
+      EXPECT_EQ(static_stats[level].climbs, slot_stats[level].climbs);
+    }
+  }
+}
+
+TEST(ClofTreeTest, SlotCompositionMatchesTheStaticOne) {
+  using Slot = locks::AnyBasic<M>;
+  using K = locks::BasicKind;
+  auto x86 = sim::Machine::PaperX86();
+  SlotMatchesStatic<Compose<M, Tkt, Mcs, Clh, locks::Hemlock<M, true>>,
+                    Compose<M, Slot, Slot, Slot, Slot>>(
+      topo::Hierarchy::Select(x86.topology, {"core", "cache", "numa", "system"}), x86,
+      {K::kTkt, K::kMcs, K::kClh, K::kHemCtr});
+  auto arm = sim::Machine::PaperArm();
+  SlotMatchesStatic<Compose<M, Hem, Clh, Tkt>, Compose<M, Slot, Slot, Slot>>(
+      topo::Hierarchy::Select(arm.topology, {"cache", "numa", "system"}), arm,
+      {K::kHem, K::kClh, K::kTkt});
+  SlotMatchesStatic<Compose<M, Mcs>, Compose<M, Slot>>(
+      topo::Hierarchy::Select(arm.topology, {"system"}), arm, {K::kMcs});
+}
+
+TEST(ClofTreeTest, SlotReportsTheLockItHolds) {
+  locks::AnyBasic<M> hem_ctr(locks::BasicKind::kHemCtr);
+  EXPECT_STREQ(hem_ctr.name(), "hem-ctr");
+  using Slot = locks::AnyBasic<M>;
+  static_assert(Compose<M, Slot, Slot>::kIsFair);
+  static_assert(!Compose<M, Slot, Slot>::kIsAbortable);
+  static_assert(locks::HasWaitersHook<Slot>);
+  auto machine = sim::Machine::PaperArm();
+  auto h3 = topo::Hierarchy::Select(machine.topology, {"cache", "numa", "system"});
+  const std::vector<locks::BasicKind> two = {locks::BasicKind::kTkt, locks::BasicKind::kMcs};
+  EXPECT_THROW((Compose<M, Slot, Slot>(h3, 0, {}, two)), std::invalid_argument);
+  EXPECT_THROW((Compose<M, Slot, Slot, Slot>(h3, 0, {}, two)), std::invalid_argument);
 }
 
 TEST(ClofTreeTest, CounterPathMatchesHookPath) {

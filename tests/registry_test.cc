@@ -1,8 +1,12 @@
-// The exhaustive lock registry: N^M enumeration, naming, factories, and a smoke run of
-// every depth-3 lock (the depth-4 sweep is exercised by bench/fig9_sweep).
+// The exhaustive lock registry: N^M enumeration, naming, factories, and a pinned run of
+// every generated lock at depths 1-4 on both paper platforms.
 #include "src/clof/registry.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "src/mem/sim_memory.h"
 #include "src/sim/engine.h"
@@ -70,33 +74,89 @@ TEST(RegistryTest, CtrRegistriesDiffer) {
   EXPECT_EQ(x86.Names({.levels = 4}), arm.Names({.levels = 4}));
 }
 
-TEST(RegistryTest, EveryDepth3LockRunsAndIsMutuallyExclusive) {
-  const Registry& reg = SimRegistry(false);
-  auto machine = sim::Machine::PaperArm();
-  auto h = topo::Hierarchy::Select(machine.topology, {"cache", "numa", "system"});
-  for (const auto& name : reg.Names({.levels = 3})) {
-    SCOPED_TRACE(name);
-    auto lock = reg.Make(name, h);
-    sim::Engine engine(machine.topology, machine.platform);
-    int in_cs = 0;
-    bool violation = false;
-    long total = 0;
-    for (int t = 0; t < 6; ++t) {
-      engine.Spawn(t * 20, [&] {
-        auto ctx = lock->MakeContext();
-        for (int i = 0; i < 10; ++i) {
-          Lock::Guard guard(*lock, *ctx);
-          violation = violation || ++in_cs != 1;
-          sim::Engine::Current().Work(5.0);
-          --in_cs;
-          ++total;
-        }
-      });
-    }
-    engine.Run();
-    EXPECT_FALSE(violation);
-    EXPECT_EQ(total, 60);
+// FNV-1a over the bytes of one 64-bit word, folded into `hash`.
+void Fold(uint64_t* hash, uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    *hash ^= (word >> (8 * i)) & 0xff;
+    *hash *= 1099511628211ull;
   }
+}
+
+// Runs every generated composition of `reg` at its own depth, `levels[depth - 1]`
+// naming that hierarchy, with one thread on each of `cpus`, and checks its surface
+// (depth, fair, not abortable) and mutual exclusion. Returns FNV-1a over each run's simulated access and line-transfer totals
+// and its per-level counters, so a change in how a composition is built that moves
+// any simulated access shows up as a different value.
+uint64_t RunEveryGeneratedLock(const Registry& reg, const sim::Machine& machine,
+                               const std::vector<std::vector<std::string>>& levels,
+                               const std::vector<int>& cpus) {
+  uint64_t hash = 14695981039346656037ull;
+  for (int depth = 1; depth <= 4; ++depth) {
+    auto h = topo::Hierarchy::Select(machine.topology, levels[depth - 1]);
+    const auto names = reg.Names({.levels = depth, .generated_only = true});
+    EXPECT_EQ(names.size(), size_t{1} << (2 * depth));
+    for (const auto& name : names) {
+      SCOPED_TRACE(name);
+      auto lock = reg.Make(name, h);
+      EXPECT_EQ(lock->levels(), depth);
+      EXPECT_TRUE(lock->is_fair());
+      EXPECT_FALSE(lock->abortable());
+      sim::Engine engine(machine.topology, machine.platform);
+      int in_cs = 0;
+      bool violation = false;
+      long total = 0;
+      for (int cpu : cpus) {
+        engine.Spawn(cpu, [&] {
+          auto ctx = lock->MakeContext();
+          for (int i = 0; i < 10; ++i) {
+            Lock::Guard guard(*lock, *ctx);
+            violation = violation || ++in_cs != 1;
+            sim::Engine::Current().Work(5.0);
+            --in_cs;
+            ++total;
+          }
+        });
+      }
+      engine.Run();
+      EXPECT_FALSE(violation);
+      EXPECT_EQ(total, 10 * static_cast<long>(cpus.size()));
+      Fold(&hash, engine.total_accesses());
+      Fold(&hash, engine.total_line_transfers());
+      for (const LevelStats& level : lock->Stats()) {
+        for (uint64_t counter : {level.acquisitions, level.inherited, level.local_passes,
+                                 level.climbs, level.threshold_climbs, level.unwinds}) {
+          Fold(&hash, counter);
+        }
+      }
+    }
+  }
+  return hash;
+}
+
+// Every one of the 340 generated names per registry, captured at commit 6b87be2, where
+// each name was its own static composition type: building them another way must not
+// move one simulated access. Each thread shares its core, cache group, NUMA node or
+// package with some threads and not with others, so handovers both stay local and
+// climb.
+constexpr uint64_t kEveryGeneratedLockX86Golden = 0xf80d4e90f27c26a5ull;
+constexpr uint64_t kEveryGeneratedLockArmGolden = 0x3ae48d2b8d7e215bull;
+
+TEST(RegistryTest, EveryGeneratedLockRunsAndIsMutuallyExclusive) {
+  const auto x86 = sim::Machine::PaperX86();
+  const uint64_t x86_hash = RunEveryGeneratedLock(
+      SimRegistry(true), x86,
+      {{"system"}, {"numa", "system"}, {"cache", "numa", "system"},
+       {"core", "cache", "numa", "system"}},
+      {0, 48, 1, 4, 24, 72, 30, 95});
+  EXPECT_EQ(x86_hash, kEveryGeneratedLockX86Golden) << "actual 0x" << std::hex << x86_hash;
+
+  const auto arm = sim::Machine::PaperArm();
+  const uint64_t arm_hash = RunEveryGeneratedLock(
+      SimRegistry(false), arm,
+      {{"system"}, {"numa", "system"}, {"cache", "numa", "system"},
+       {"cache", "numa", "package", "system"}},
+      {0, 1, 2, 5, 33, 40, 64, 100});
+  EXPECT_EQ(arm_hash, kEveryGeneratedLockArmGolden) << "actual 0x" << std::hex << arm_hash;
 }
 
 TEST(RegistryTest, NativeRegistryHasFeaturedLocks) {
