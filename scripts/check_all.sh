@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The full verification ladder in one command: the tier-1 suite on the default preset,
-# then the ASan+UBSan pass (scripts/check_sanitized.sh), then the TSan pass over the
+# The full verification ladder in one command: the tier-1 suite on the default preset
+# (followed by its five slowest test cases, with their seconds), then the ASan+UBSan
+# pass (scripts/check_sanitized.sh), then the TSan pass over the
 # host-thread-parallel paths (scripts/check_tsan.sh). Each stage runs even if an
 # earlier one failed, so one invocation reports every broken stage; the exit status is
 # nonzero if any stage failed.
@@ -80,11 +81,27 @@ timed() {
   return "${status}"
 }
 
-# The tier-1 stage prints the wall time of its build and of its ctest run.
+# The tier-1 stage prints the wall time of its build and of its ctest run, then the
+# five slowest test cases of that run: the critical path of a parallel ctest.
 tier1() {
+  local junit status
+  junit="$(mktemp)" || return 1
   cmake --preset default &&
     timed "tier-1 build" cmake --build --preset default -j "$(nproc)" &&
-    timed "tier-1 ctest" ctest --preset default -j "$(nproc)"
+    timed "tier-1 ctest" ctest --preset default -j "$(nproc)" --output-junit "${junit}"
+  status=$?
+  slowest_tests "${junit}"
+  rm -f "${junit}"
+  return "${status}"
+}
+
+# Prints the five slowest test cases in a ctest JUnit report, one `N.Ns  NAME` line
+# each, from ctest's own per-test timings; prints nothing for an empty report.
+slowest_tests() {
+  sed -n 's/.*<testcase name="\([^"]*\)".* time="\([0-9.]*\)".*/\2 \1/p' "$1" |
+    sort -rn | head -n 5 |
+    awk 'NR == 1 { print "tier-1 slowest tests:" }
+         { printf "  %6.1fs  %s\n", $1, substr($0, index($0, " ") + 1) }'
 }
 
 torture_smoke() {

@@ -1,5 +1,6 @@
 #include "src/mck/explorer.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
@@ -16,112 +17,87 @@ struct CancelExecution {};
 
 uint64_t Bit(int tid) { return uint64_t{1} << tid; }
 
-// Open-addressed hash map whose "clear" is an epoch bump. The explorer needs two
-// per-address maps (write versions, DPOR access records) that logically reset between
-// executions; node-based maps made that reset O(entries) worth of frees followed by
-// the same allocations all over again next execution — the dominant cost of short
-// explorations. Here NextEpoch() just increments a counter: stale entries read as
-// absent, and when an address reappears (executions allocate their shared state the
-// same way, so the allocator hands back the same blocks) the entry — including any
-// heap-backed vectors inside Value — is recycled in place by the caller-supplied
-// reset functor. Steady-state exploration therefore performs no heap allocation at
-// all (mck_alloc_test pins this).
-template <typename Value>
-class EpochTable {
+// Open-addressed map from an address to its ordinal in the current execution: the
+// first address an execution touches gets ordinal 0, the next 1, and so on, so the
+// explorer keeps its per-address records densely in plain vectors indexed by ordinal,
+// reused from one execution to the next. Clear() wipes exactly the slots the last
+// execution filled, so the table holds only the current execution's addresses. The
+// harness builds fresh shared state every execution, and the allocator (ASan's
+// quarantine especially) may hand it new addresses each time; with no stale entries to
+// collect, the table is never rebuilt except to grow past the most addresses one
+// execution has touched, and growth is the only time it allocates (mck_alloc_test pins
+// this).
+class AddrIndex {
  public:
-  // Starts a new epoch: every existing entry becomes stale (logically absent).
-  void NextEpoch() {
-    ++epoch_;
-    live_ = 0;
+  size_t size() const { return filled_.size(); }
+
+  void Clear() {
+    for (uint32_t slot : filled_) {
+      slots_[slot].addr = 0;
+    }
+    filled_.clear();
   }
 
-  // Current-epoch entry for `addr`, created (or revived from a stale slot) with
-  // `reset(value)` when absent. `addr` must be nonzero (0 is the empty-slot marker;
-  // real watch/access addresses are object addresses, never null).
-  template <typename Reset>
-  Value& Ref(uintptr_t addr, Reset reset) {
-    if (slots_.size() - used_ <= slots_.size() / 4) {
-      Rebuild();  // keep at least a quarter of the probes landing on empty slots
+  // Ordinal of `addr` in this execution, or -1 if the execution has not touched it.
+  int Find(uintptr_t addr) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Hash(addr) & mask;; i = (i + 1) & mask) {
+      const Slot& slot = slots_[i];
+      if (slot.addr == addr) {
+        return static_cast<int>(slot.ordinal);
+      }
+      if (slot.addr == 0) {
+        return -1;
+      }
+    }
+  }
+
+  // Ordinal of `addr`, assigning the next one (the size before the call) when absent.
+  // `addr` must be nonzero: 0 marks an empty slot.
+  int Insert(uintptr_t addr) {
+    if ((filled_.size() + 1) * 4 > slots_.size() * 3) {
+      Grow();  // keep at least a quarter of the probes landing on empty slots
     }
     const size_t mask = slots_.size() - 1;
-    size_t i = Hash(addr) & mask;
-    while (true) {
+    for (size_t i = Hash(addr) & mask;; i = (i + 1) & mask) {
       Slot& slot = slots_[i];
+      if (slot.addr == addr) {
+        return static_cast<int>(slot.ordinal);
+      }
       if (slot.addr == 0) {
         slot.addr = addr;
-        slot.epoch = epoch_;
-        ++used_;
-        ++live_;
-        reset(slot.value);
-        return slot.value;
+        slot.ordinal = static_cast<uint32_t>(filled_.size());
+        filled_.push_back(static_cast<uint32_t>(i));
+        return static_cast<int>(slot.ordinal);
       }
-      if (slot.addr == addr) {
-        if (slot.epoch != epoch_) {
-          slot.epoch = epoch_;
-          ++live_;
-          reset(slot.value);
-        }
-        return slot.value;
-      }
-      i = (i + 1) & mask;
-    }
-  }
-
-  // Read-only probe: the current-epoch entry for `addr`, or nullptr.
-  const Value* Find(uintptr_t addr) const {
-    const size_t mask = slots_.size() - 1;
-    size_t i = Hash(addr) & mask;
-    while (true) {
-      const Slot& slot = slots_[i];
-      if (slot.addr == 0) {
-        return nullptr;
-      }
-      if (slot.addr == addr) {
-        return slot.epoch == epoch_ ? &slot.value : nullptr;
-      }
-      i = (i + 1) & mask;
     }
   }
 
  private:
   struct Slot {
-    uintptr_t addr = 0;  // 0 = never occupied
-    uint64_t epoch = 0;
-    Value value{};
+    uintptr_t addr = 0;  // 0 = empty
+    uint32_t ordinal = 0;
   };
 
   static size_t Hash(uintptr_t addr) {
     return static_cast<size_t>((static_cast<uint64_t>(addr) * 0x9E3779B97F4A7C15ull) >> 32);
   }
 
-  // Re-inserts only live entries, sized from the live count: stale slots left by
-  // address churn are dropped (their values freed) instead of forcing growth forever.
-  // Rebuilds allocate, but they stop once the table spans the program's footprint.
-  void Rebuild() {
-    size_t capacity = 64;
-    while (capacity < (live_ + 1) * 4) {
-      capacity *= 2;
-    }
-    std::vector<Slot> fresh(capacity);
-    const size_t mask = capacity - 1;
-    for (Slot& slot : slots_) {
-      if (slot.addr == 0 || slot.epoch != epoch_) {
-        continue;
-      }
-      size_t i = Hash(slot.addr) & mask;
-      while (fresh[i].addr != 0) {
+  void Grow() {
+    std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(slots_.size() * 2));
+    const size_t mask = slots_.size() - 1;
+    for (uint32_t& slot_index : filled_) {
+      size_t i = Hash(old[slot_index].addr) & mask;
+      while (slots_[i].addr != 0) {
         i = (i + 1) & mask;
       }
-      fresh[i] = std::move(slot);
+      slots_[i] = old[slot_index];
+      slot_index = static_cast<uint32_t>(i);
     }
-    slots_ = std::move(fresh);
-    used_ = live_;
   }
 
   std::vector<Slot> slots_ = std::vector<Slot>(64);
-  uint64_t epoch_ = 0;
-  size_t used_ = 0;  // occupied slots, any epoch
-  size_t live_ = 0;  // occupied slots stamped with the current epoch
+  std::vector<uint32_t> filled_;  // the slot of each ordinal
 };
 
 // Stateless apply for SchedulePoint's pending no-op (a FunctionRef target must
@@ -178,11 +154,12 @@ struct Explorer::ThreadState {
 struct Explorer::ExecutionContext {
   runtime::Fiber main_fiber = runtime::Fiber::Main();
   // Execution-scoped state lives in pools reset per execution, not in per-execution
-  // allocations: fibers and ThreadStates are recycled, the two per-address maps are
-  // epoch-cleared, and the vector clocks are reassigned in place.
+  // allocations: fibers and ThreadStates are recycled, and the per-address records and
+  // the vector clocks are reassigned in place.
   std::vector<std::unique_ptr<runtime::Fiber>> fiber_pool;
   std::vector<std::unique_ptr<ThreadState>> threads;
-  EpochTable<uint64_t> versions;
+  // The running thread, null on the main fiber: each switch to a thread sets it first,
+  // and the main fiber clears it whenever it regains control.
   ThreadState* current = nullptr;
 
   // Per-execution schedule record (node i = state before step i).
@@ -198,27 +175,57 @@ struct Explorer::ExecutionContext {
   std::vector<uint64_t> explored;
   std::vector<uint64_t> backtrack;
 
-  // Last accesses per address within the current execution, for conflict detection,
-  // plus the vector clocks realizing the happens-before relation (clock[q] = index of
+  // Per-address records of the current execution, by the address's ordinal in it: the
+  // version spin-waits park on, and the last accesses for DPOR conflict detection,
+  // with the vector clocks realizing the happens-before relation (clock[q] = index of
   // q's latest step that happens-before; hb edges are exactly the dependent-access
-  // pairs: write->read, read->write, write->write on one address).
-  //
-  // The per-tid clocks are fixed arrays, not vectors: the explorer caps thread counts
-  // at 64 anyway, and a heap-free AddrAccess means a brand-new address (executions
-  // rebuild shared state, so the allocator hands each one fresh-ish blocks) costs the
-  // epoch table nothing but a slot — steady-state explorations stay allocation-free
-  // even when addresses wander.
-  struct AddrAccess {
+  // pairs: write->read, read->write, write->write on one address). The clocks are n
+  // ints wide, n being the execution's thread count.
+  struct AddrRecord {
+    uint64_t version = 0;  // value-changing writes so far; unwritten addresses read 0
     int last_write_step = -1;
     int last_write_tid = -1;
-    std::array<int, 64> last_read_step;  // per tid
-    std::array<int, 64> write_clock;     // clock released by the last write
-    std::array<int, 64> readers_clock;   // join of clocks released by reads-since-write
   };
-  EpochTable<AddrAccess> accesses;
-  std::vector<std::array<int, 64>> thread_clock;  // per tid
+  AddrIndex addrs;
+  std::vector<AddrRecord> records;  // by ordinal
+  // Per ordinal, three rows of n: last_read_step (per tid), write_clock (released by
+  // the last write) and readers_clock (the join of the clocks released by the reads
+  // since that write).
+  std::vector<int> rows;
+  std::vector<int> thread_clock;  // n x n: row q is thread q's clock
 
+  // The ordinal of `addr`, its record reset when this execution first touches it.
+  int Record(uintptr_t addr) {
+    const size_t touched = addrs.size();
+    const int ordinal = addrs.Insert(addr);
+    if (static_cast<size_t>(ordinal) == touched) {
+      if (records.size() == touched) {
+        records.emplace_back();
+      }
+      records[ordinal] = AddrRecord{};
+      const size_t width = 3 * threads.size();
+      if (rows.size() < (touched + 1) * width) {
+        rows.resize((touched + 1) * width);
+      }
+      std::fill_n(rows.begin() + static_cast<ptrdiff_t>(touched * width), width, -1);
+    }
+    return ordinal;
+  }
+  int* Rows(int ordinal) { return rows.data() + static_cast<size_t>(ordinal) * 3 * threads.size(); }
+
+  // The decision loop's state between two decisions (see Explorer::Next()).
   int step = 0;
+  uint64_t sleep = 0;
+  // The last step's operation, whose sleep-set evolution the next decision owes once
+  // its thread has announced, parked or finished.
+  struct StepOp {
+    int tid = -1;  // -1: nothing owed
+    bool known = false;  // false: the thread was fresh or just woken and applied nothing
+    bool write = false;
+    uintptr_t addr = 0;
+  };
+  StepOp last_step;
+  bool ended = false;  // every thread finished, or the search pruned this execution
   bool cancelling = false;
   bool violation = false;
   std::string violation_message;
@@ -259,7 +266,7 @@ void Explorer::OnAccess(uintptr_t addr, MckOpKind kind, runtime::FunctionRef<boo
   // schedule another thread's access could have come first (a lost-update litmus
   // regression test guards this). Every access to a potentially shared location is a
   // scheduling point; the sound reductions are the sleep sets and the eager local
-  // quanta in Explore().
+  // quanta in Next().
   //
   // Announce and yield; the scheduler resumes us when it is our turn, and we apply the
   // operation at that point (the linearization point).
@@ -268,10 +275,7 @@ void Explorer::OnAccess(uintptr_t addr, MckOpKind kind, runtime::FunctionRef<boo
   self->pending_kind = kind;
   self->pending_apply = apply;
   self->parked_count = 0;
-  runtime::Fiber::Switch(*self->fiber, ec.main_fiber);
-  if (ec.cancelling) {
-    throw CancelExecution{};
-  }
+  Suspend(self);
   self->has_pending = false;
   bool changed = apply();
   if (self->arrival_probe) {
@@ -280,7 +284,7 @@ void Explorer::OnAccess(uintptr_t addr, MckOpKind kind, runtime::FunctionRef<boo
     probe();
   }
   if (changed && kind != MckOpKind::kLoad) {
-    ++ec.versions.Ref(addr, [](uint64_t& version) { version = 0; });
+    ++ec.records[ec.Record(addr)].version;
     for (auto& thread : ec.threads) {
       if (!thread->parked) {
         continue;
@@ -312,16 +316,13 @@ void Explorer::SchedulePoint() {
   self->pending_kind = MckOpKind::kLoad;
   self->pending_apply = runtime::FunctionRef<bool()>(kNoopApply);
   self->parked_count = 0;
-  runtime::Fiber::Switch(*self->fiber, ec.main_fiber);
-  if (ec.cancelling) {
-    throw CancelExecution{};
-  }
+  Suspend(self);
   self->has_pending = false;
 }
 
 uint64_t Explorer::VersionOf(uintptr_t addr) {
-  const uint64_t* version = exec_->versions.Find(addr);
-  return version != nullptr ? *version : 0;  // unwritten addresses are at version 0
+  const int ordinal = exec_->addrs.Find(addr);
+  return ordinal < 0 ? 0 : exec_->records[ordinal].version;
 }
 
 void Explorer::ParkOnAddr(uintptr_t addr, uint64_t seen_version) {
@@ -336,8 +337,7 @@ void Explorer::ParkOnAddrs(std::initializer_list<AddrVersion> watches) {
   }
   self->parked_count = 0;
   for (const AddrVersion& watch : watches) {
-    const uint64_t* version = ec.versions.Find(watch.addr);
-    if ((version != nullptr ? *version : 0) != watch.seen_version) {
+    if (VersionOf(watch.addr) != watch.seen_version) {
       return;  // raced with a write to one of the watches: re-probe
     }
     if (self->parked_count == ThreadState::kMaxWatches) {
@@ -347,10 +347,7 @@ void Explorer::ParkOnAddrs(std::initializer_list<AddrVersion> watches) {
     self->parked_addrs[self->parked_count++] = watch.addr;
   }
   self->parked = true;
-  runtime::Fiber::Switch(*self->fiber, ec.main_fiber);
-  if (ec.cancelling) {
-    throw CancelExecution{};
-  }
+  Suspend(self);
 }
 
 void Explorer::Fail(const std::string& message) {
@@ -360,6 +357,163 @@ void Explorer::Fail(const std::string& message) {
     ec.violation_message = message;
   }
   throw ViolationError(message);
+}
+
+void Explorer::Suspend(ThreadState* self) {
+  ExecutionContext& ec = *exec_;
+  ThreadState* next = Next();
+  if (next != self) {
+    ec.current = next;
+    runtime::Fiber::Switch(*self->fiber, next != nullptr ? *next->fiber : ec.main_fiber);
+  }
+  if (ec.cancelling) {
+    throw CancelExecution{};
+  }
+}
+
+Explorer::ThreadState* Explorer::Next() {
+  ExecutionContext& ec = *exec_;
+  if (ec.ended || ec.violation) {
+    return nullptr;
+  }
+  // Sleep-set evolution: the step that just ended wakes every slept thread dependent on
+  // its op. It runs before the next quantum, which would change the threads' states.
+  if (ec.last_step.tid >= 0) {
+    const ExecutionContext::StepOp& op = ec.last_step;
+    uint64_t next_sleep = 0;
+    if (ec.sleep != 0) {
+      for (auto& other : ec.threads) {
+        if ((ec.sleep & Bit(other->tid)) == 0 || other->tid == op.tid || other->finished) {
+          continue;
+        }
+        if (op.known && !other->DependsOn(op.addr, op.write)) {
+          next_sleep |= Bit(other->tid);
+        }
+      }
+    }
+    ec.sleep = next_sleep;
+    ec.last_step.tid = -1;
+  }
+  // Eagerly run every thread that has no announced operation (fresh threads and threads
+  // just woken from a park), lowest index first: such a quantum performs no visible
+  // operation — it only runs local code up to its next announcement — so it commutes
+  // with every other thread and must not be a scheduling choice. Without this, each
+  // spin wakeup would branch the search and defeat the sleep sets. A quantum cannot
+  // make another thread eligible, so deciding again after each one runs the quanta in
+  // index order.
+  for (auto& thread : ec.threads) {
+    if (!thread->finished && !thread->parked && !thread->has_pending) {
+      return thread.get();
+    }
+  }
+  uint64_t enabled = 0;
+  bool all_finished = true;
+  for (auto& thread : ec.threads) {
+    if (!thread->finished) {
+      all_finished = false;
+      if (!thread->parked) {
+        enabled |= Bit(thread->tid);
+      }
+    }
+  }
+  if (all_finished) {
+    ec.ended = true;
+    return nullptr;
+  }
+  if (enabled == 0) {
+    ec.violation = true;
+    ec.violation_message = "deadlock: all live threads are blocked";
+    return nullptr;
+  }
+  const uint64_t sleep = ec.sleep;
+  if (ec.step >= static_cast<int>(ec.explored.size())) {
+    ec.explored.push_back(0);
+    // DPOR: seed a fresh node with a single candidate; conflicts discovered by later
+    // steps (possibly in later executions) grow this set in place.
+    uint64_t seed = enabled & ~sleep;
+    ec.backtrack.push_back(seed == 0 ? 0 : Bit(__builtin_ctzll(seed)));
+  }
+  int chosen;
+  if (ec.step < static_cast<int>(ec.prefix.size())) {
+    chosen = ec.prefix[ec.step];
+    if ((enabled & Bit(chosen)) == 0) {
+      std::fprintf(stderr, "mck: non-deterministic program under replay\n");
+      std::abort();
+    }
+  } else {
+    uint64_t avail = ec.backtrack[ec.step] & enabled & ~sleep & ~ec.explored[ec.step];
+    if (avail == 0) {
+      ec.ended = true;  // every successor here is covered by an explored/slept branch
+      return nullptr;
+    }
+    chosen = __builtin_ctzll(avail);
+  }
+  ec.enabled_history.push_back(enabled);
+  ec.sleep_history.push_back(sleep);
+  ec.chosen_history.push_back(chosen);
+  ++ec.step;
+  if (ec.step > options_.max_steps) {
+    ec.violation = true;
+    ec.violation_message = "step bound exceeded (possible livelock)";
+    return nullptr;
+  }
+  ThreadState* thread = ec.threads[chosen].get();
+  // Capture the op this step will apply (announced before suspension); a fresh or
+  // just-woken thread applies nothing and only announces, which is independent of
+  // everything.
+  const bool op_known = thread->has_pending;
+  const uintptr_t op_addr = thread->pending_addr;
+  const bool op_write = op_known && thread->pending_kind != MckOpKind::kLoad;
+  const int this_step = ec.step - 1;
+  if (op_known) {
+    // DPOR backtrack-point discovery (Flanagan-Godefroid): this op may need to run
+    // *before* the most recent conflicting access of another thread, unless that
+    // access already happens-before us (then the two cannot be reordered and no
+    // alternative exists). Record the alternative at the node preceding the access.
+    const size_t n = ec.threads.size();
+    const int ordinal = ec.Record(op_addr);
+    ExecutionContext::AddrRecord& access = ec.records[ordinal];
+    int* last_read_step = ec.Rows(ordinal);
+    int* write_clock = last_read_step + n;
+    int* readers_clock = write_clock + n;
+    int* my_clock = ec.thread_clock.data() + static_cast<size_t>(chosen) * n;
+    auto consider = [&](int step, int tid) {
+      if (step < 0 || tid == chosen || step <= my_clock[tid]) {
+        return;  // absent, own, or already ordered before us
+      }
+      uint64_t enabled_there = ec.enabled_history[step];
+      ec.backtrack[step] |= (enabled_there & Bit(chosen)) != 0 ? Bit(chosen) : enabled_there;
+    };
+    consider(access.last_write_step, access.last_write_tid);
+    if (op_write) {
+      for (size_t u = 0; u < n; ++u) {
+        consider(last_read_step[u], static_cast<int>(u));
+      }
+    }
+    // Happens-before update: join the clocks this dependent access synchronizes with,
+    // stamp our own progress, release our clock to the address.
+    for (size_t u = 0; u < n; ++u) {
+      my_clock[u] = std::max(my_clock[u], write_clock[u]);
+      if (op_write) {
+        my_clock[u] = std::max(my_clock[u], readers_clock[u]);
+      }
+    }
+    my_clock[chosen] = this_step;
+    if (op_write) {
+      std::copy_n(my_clock, n, write_clock);
+      std::fill_n(readers_clock, n, -1);  // absorbed into the write clock
+      access.last_write_step = this_step;
+      access.last_write_tid = chosen;
+      std::fill_n(last_read_step, n, -1);
+    } else {
+      for (size_t u = 0; u < n; ++u) {
+        readers_clock[u] = std::max(readers_clock[u], my_clock[u]);
+      }
+      last_read_step[chosen] = this_step;
+    }
+  }
+  ec.last_step = {chosen, op_known, op_write, op_addr};
+  return thread;
 }
 
 Explorer::Result Explorer::Explore(const std::function<std::vector<ThreadSpec>()>& make_threads) {
@@ -377,12 +531,14 @@ Explorer::Result Explorer::Explore(const std::function<std::vector<ThreadSpec>()
   // violations and deadlocks.
   for (;;) {
     ++result.executions;
-    ec.versions.NextEpoch();
-    ec.accesses.NextEpoch();
+    ec.addrs.Clear();
     ec.enabled_history.clear();
     ec.sleep_history.clear();
     ec.chosen_history.clear();
     ec.step = 0;
+    ec.sleep = 0;
+    ec.last_step = {};
+    ec.ended = false;
     ec.cancelling = false;
     ec.violation = false;
     ec.violation_message.clear();
@@ -393,12 +549,7 @@ Explorer::Result Explorer::Explore(const std::function<std::vector<ThreadSpec>()
       std::fprintf(stderr, "mck: at most 64 threads supported\n");
       std::abort();
     }
-    if (ec.thread_clock.size() != num_threads) {
-      ec.thread_clock.resize(num_threads);
-    }
-    for (auto& clock : ec.thread_clock) {
-      clock.fill(-1);
-    }
+    ec.thread_clock.assign(num_threads * num_threads, -1);
     if (ec.threads.size() > num_threads) {
       ec.threads.resize(num_threads);
     }
@@ -436,162 +587,14 @@ Explorer::Result Explorer::Explore(const std::function<std::vector<ThreadSpec>()
     }
 
     // --- run one execution ---
-    bool deadlock = false;
-    bool pruned = false;
-    uint64_t sleep = 0;
-    for (;;) {
-      // Eagerly run every thread that has no announced operation (fresh threads and
-      // threads just woken from a park): such a quantum performs no visible operation —
-      // it only runs local code up to its next announcement — so it commutes with every
-      // other thread and must not be a scheduling choice. Without this, each spin
-      // wakeup would branch the search and defeat the sleep sets.
-      for (bool advanced = true; advanced;) {
-        advanced = false;
-        for (auto& thread : ec.threads) {
-          if (!thread->finished && !thread->parked && !thread->has_pending) {
-            ec.current = thread.get();
-            runtime::Fiber::Switch(ec.main_fiber, *thread->fiber);
-            ec.current = nullptr;
-            advanced = true;
-          }
-        }
-        if (ec.violation) {
-          break;
-        }
-      }
-      if (ec.violation) {
-        break;
-      }
-      uint64_t enabled = 0;
-      bool all_finished = true;
-      for (auto& thread : ec.threads) {
-        if (!thread->finished) {
-          all_finished = false;
-          if (!thread->parked) {
-            enabled |= Bit(thread->tid);
-          }
-        }
-      }
-      if (all_finished) {
-        break;
-      }
-      if (enabled == 0) {
-        deadlock = true;
-        break;
-      }
-      if (ec.step >= static_cast<int>(ec.explored.size())) {
-        ec.explored.push_back(0);
-        // DPOR: seed a fresh node with a single candidate; conflicts discovered by
-        // later steps (possibly in later executions) grow this set in place.
-        uint64_t seed = enabled & ~sleep;
-        ec.backtrack.push_back(seed == 0 ? 0 : Bit(__builtin_ctzll(seed)));
-      }
-      uint64_t avail = ec.backtrack[ec.step] & enabled & ~sleep & ~ec.explored[ec.step];
-      int chosen;
-      if (ec.step < static_cast<int>(ec.prefix.size())) {
-        chosen = ec.prefix[ec.step];
-        if ((enabled & Bit(chosen)) == 0) {
-          std::fprintf(stderr, "mck: non-deterministic program under replay\n");
-          std::abort();
-        }
-      } else {
-        if (avail == 0) {
-          pruned = true;  // every successor here is covered by an explored/slept branch
-          break;
-        }
-        chosen = __builtin_ctzll(avail);
-      }
-      ec.enabled_history.push_back(enabled);
-      ec.sleep_history.push_back(sleep);
-      ec.chosen_history.push_back(chosen);
-      ++ec.step;
-      if (ec.step > options_.max_steps) {
-        ec.violation = true;
-        ec.violation_message = "step bound exceeded (possible livelock)";
-        break;
-      }
-      ThreadState* thread = ec.threads[chosen].get();
-      // Capture the op this step will apply (announced before suspension); a fresh or
-      // just-woken thread applies nothing and only announces, which is independent of
-      // everything.
-      bool op_known = thread->has_pending;
-      uintptr_t op_addr = thread->pending_addr;
-      bool op_write = op_known && thread->pending_kind != MckOpKind::kLoad;
-      const int this_step = ec.step - 1;
-      if (op_known) {
-        // DPOR backtrack-point discovery (Flanagan-Godefroid): this op may need to run
-        // *before* the most recent conflicting access of another thread, unless that
-        // access already happens-before us (then the two cannot be reordered and no
-        // alternative exists). Record the alternative at the node preceding the access.
-        const size_t n = ec.threads.size();
-        auto& access = ec.accesses.Ref(op_addr, [](ExecutionContext::AddrAccess& record) {
-          record.last_write_step = -1;
-          record.last_write_tid = -1;
-          record.last_read_step.fill(-1);
-          record.write_clock.fill(-1);
-          record.readers_clock.fill(-1);
-        });
-        std::array<int, 64>& my_clock = ec.thread_clock[chosen];
-        auto consider = [&](int step, int tid) {
-          if (step < 0 || tid == chosen || step <= my_clock[tid]) {
-            return;  // absent, own, or already ordered before us
-          }
-          uint64_t enabled_there = ec.enabled_history[step];
-          ec.backtrack[step] |=
-              (enabled_there & Bit(chosen)) != 0 ? Bit(chosen) : enabled_there;
-        };
-        consider(access.last_write_step, access.last_write_tid);
-        if (op_write) {
-          for (size_t u = 0; u < n; ++u) {
-            consider(access.last_read_step[u], static_cast<int>(u));
-          }
-        }
-        // Happens-before update: join the clocks this dependent access synchronizes
-        // with, stamp our own progress, release our clock to the address.
-        for (size_t u = 0; u < n; ++u) {
-          my_clock[u] = std::max(my_clock[u], access.write_clock[u]);
-          if (op_write) {
-            my_clock[u] = std::max(my_clock[u], access.readers_clock[u]);
-          }
-        }
-        my_clock[chosen] = this_step;
-        if (op_write) {
-          access.write_clock = my_clock;
-          access.readers_clock.fill(-1);  // absorbed into the write clock
-          access.last_write_step = this_step;
-          access.last_write_tid = chosen;
-          access.last_read_step.fill(-1);
-        } else {
-          for (size_t u = 0; u < n; ++u) {
-            access.readers_clock[u] = std::max(access.readers_clock[u], my_clock[u]);
-          }
-          access.last_read_step[chosen] = this_step;
-        }
-      }
-      ec.current = thread;
-      runtime::Fiber::Switch(ec.main_fiber, *thread->fiber);
+    // Each decision runs on the stack of the thread that has just announced or parked,
+    // which resumes the next thread directly (Suspend()); the main fiber decides only
+    // at the start and after a thread finishes, and regains control when the execution
+    // ends.
+    for (ThreadState* next = Next(); next != nullptr; next = Next()) {
+      ec.current = next;
+      runtime::Fiber::Switch(ec.main_fiber, *next->fiber);
       ec.current = nullptr;
-      if (ec.violation) {
-        break;  // a Fail() unwound the running thread; abandon this execution
-      }
-      // Sleep-set evolution: the chosen thread wakes everything dependent on its op.
-      uint64_t next_sleep = 0;
-      if (sleep != 0) {
-        for (auto& other : ec.threads) {
-          if ((sleep & Bit(other->tid)) == 0 || other->tid == chosen || other->finished) {
-            continue;
-          }
-          bool dependent = !op_known || other->DependsOn(op_addr, op_write);
-          if (!dependent) {
-            next_sleep |= Bit(other->tid);
-          }
-        }
-      }
-      sleep = next_sleep;
-    }
-    if (deadlock) {
-      ec.violation = true;
-      ec.violation_message = "deadlock: all live threads are blocked";
     }
     result.total_steps += static_cast<uint64_t>(ec.step);
 
@@ -619,7 +622,6 @@ Explorer::Result Explorer::Explore(const std::function<std::vector<ThreadSpec>()
       result.exhausted = false;
       break;
     }
-    (void)pruned;  // a pruned execution backtracks exactly like a completed one
 
     // --- backtrack: deepest node with an unexplored backtrack-set alternative ---
     int backtrack = -1;

@@ -119,6 +119,18 @@ class Explorer {
   struct ThreadState;
   struct ExecutionContext;
 
+  // The scheduler's step: evolves the sleep set after the step that just ended, then
+  // returns the next thread to resume — one that owes an eager local quantum, else the
+  // choice at this node after its DPOR bookkeeping — or null when the execution ends.
+  // Any stack may run it: the main fiber, or the thread that has just announced an
+  // operation or parked.
+  ThreadState* Next();
+  // Runs Next() on the calling thread's stack and resumes its choice (the main fiber
+  // when the execution ends) with one direct switch, or none when the choice is the
+  // caller. Returns when the caller is scheduled again, or throws when it is resumed
+  // only to unwind a cancelled execution.
+  void Suspend(ThreadState* self);
+
   Options options_;
   ExecutionContext* exec_ = nullptr;  // live only inside Explore()
 };

@@ -1,13 +1,13 @@
 // Zero heap allocations per steady-state model-checker execution.
 //
 // The explorer promises that exploration cost is schedule enumeration, not allocator
-// churn: fibers and ThreadStates are recycled, the per-address version and DPOR access
-// tables are epoch-cleared (entries recycled in place, vectors and all), the vector
-// clocks are reassigned into their existing buffers, and re-arming a fiber captures a
-// single pointer so std::function stays in its inline storage. Once the first few
-// executions have grown every pool to the program's footprint, the only allocations
-// per execution are the ones the harness's own make_threads callback performs while
-// building fresh shared state — explorer bookkeeping contributes exactly zero.
+// churn: fibers and ThreadStates are recycled, the per-address index is emptied slot by
+// slot and its dense records are reset in place, the vector clocks are reassigned into
+// their existing buffers, and re-arming a fiber captures a single pointer so
+// std::function stays in its inline storage. Once the first few executions have grown
+// every pool to the program's footprint, the only allocations per execution are the
+// ones the harness's own make_threads callback performs while building fresh shared
+// state — explorer bookkeeping contributes exactly zero.
 //
 // Verified with a counting replacement of the global operator new/delete set: the
 // callback snapshots the allocation counter on entry to every execution, the same

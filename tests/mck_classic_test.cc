@@ -10,43 +10,12 @@
 #include "src/mck/check_lock.h"
 #include "src/mck/explorer.h"
 #include "src/mck/mck_memory.h"
+#include "tests/mck_test_locks.h"
 
 namespace clof::mck {
 namespace {
 
-// Peterson's 2-thread lock. Thread identity comes from the checker's CpuId. The wait
-// "while (flag[other] && turn == other)" watches two locations: versions are sampled
-// *before* the loads, so ParkOnAddrs cannot miss a wake.
-class PetersonLock {
- public:
-  struct Context {};
-
-  void Acquire(Context&) {
-    int self = MckMemory::CpuId();
-    int other = 1 - self;
-    flag_[self].Store(1);
-    turn_.Store(static_cast<uint32_t>(other));
-    for (;;) {
-      auto& explorer = Explorer::Current();
-      uint64_t flag_version = explorer.VersionOf(flag_[other].Addr());
-      uint64_t turn_version = explorer.VersionOf(turn_.Addr());
-      if (flag_[other].Load() == 0) {
-        return;
-      }
-      if (turn_.Load() != static_cast<uint32_t>(other)) {
-        return;
-      }
-      explorer.ParkOnAddrs({{flag_[other].Addr(), flag_version},
-                            {turn_.Addr(), turn_version}});
-    }
-  }
-
-  void Release(Context&) { flag_[MckMemory::CpuId()].Store(0); }
-
- private:
-  MckMemory::Atomic<uint32_t> flag_[2];
-  MckMemory::Atomic<uint32_t> turn_{0};
-};
+using test_locks::PetersonLock;
 
 TEST(MckClassic, PetersonVerifiesUnderSc) {
   CheckConfig config;

@@ -16,11 +16,14 @@
 #include "src/mck/explorer.h"
 #include "src/mck/mck_memory.h"
 #include "src/topo/topology.h"
+#include "tests/mck_test_locks.h"
 
 namespace clof::mck {
 namespace {
 
 using M = MckMemory;
+using test_locks::DeadlockingLock;
+using test_locks::MutexViolatingLock;
 
 template <class L>
 CheckStats CheckSimpleLock(int threads, int acquisitions) {
@@ -92,24 +95,7 @@ TEST(MckBasicLocks, TtasIsUnfair) {
   EXPECT_GE(unfair.max_bypass, 2u);  // barging exceeds the fair bound
 }
 
-// --- Mutation tests: the checker must catch seeded bugs ---
-
-// The ticket take is a non-atomic load+store: two threads can obtain the same ticket
-// and enter together — a classic lost-update bug.
-class MutexViolatingLock {
- public:
-  struct Context {};
-  void Acquire(Context&) {
-    uint32_t me = ticket_.Load();       // BUG: load+store instead of fetch_add
-    ticket_.Store(me + 1);
-    MckMemory::SpinUntil(grant_, [me](uint32_t g) { return g == me; });
-  }
-  void Release(Context&) { grant_.FetchAdd(1); }
-
- private:
-  MckMemory::Atomic<uint32_t> ticket_{0};
-  MckMemory::Atomic<uint32_t> grant_{0};
-};
+// --- Mutation tests: the checker must catch seeded bugs (tests/mck_test_locks.h) ---
 
 TEST(MckMutation, CatchesLostTicketUpdate) {
   // The duplicate ticket manifests as a mutual-exclusion breach in some schedules and
@@ -146,26 +132,6 @@ TEST(MckMutation, CatchesMutualExclusionViolation) {
   EXPECT_NE(stats.result.violation.find("mutual exclusion"), std::string::npos)
       << stats.result.violation;
 }
-
-// Release forgets to grant the next ticket on one path: a waiter hangs forever.
-class DeadlockingLock {
- public:
-  struct Context {};
-  void Acquire(Context&) {
-    uint32_t me = ticket_.FetchAdd(1);
-    MckMemory::SpinUntil(grant_, [me](uint32_t g) { return g == me; });
-  }
-  void Release(Context&) {
-    if (grant_.Load() == 0) {
-      grant_.FetchAdd(1);
-    }
-    // BUG: releases after the first handover do nothing.
-  }
-
- private:
-  MckMemory::Atomic<uint32_t> ticket_{0};
-  MckMemory::Atomic<uint32_t> grant_{0};
-};
 
 TEST(MckMutation, CatchesDeadlock) {
   CheckConfig config;
