@@ -102,6 +102,12 @@ class Flags {
                      : fallback;
   }
 
+  // A whole positive count, such as an exploration budget.
+  uint64_t GetPositiveCount(const std::string& name, uint64_t fallback) const {
+    return Has(name) ? Number<uint64_t>(name, values_.at(name), "a positive count", true)
+                     : fallback;
+  }
+
   // --name[=K], an optional positive count: 0 when absent, -1 when given bare.
   int GetCount(const std::string& name) const {
     if (GetString(name, "true") == "true") {

@@ -61,8 +61,8 @@ void Print(const char* label, const RunStats& stats) {
 
 int main(int argc, char** argv) {
   bench::Flags flags(argc, argv, {"budget", "quick"});
-  uint64_t budget = static_cast<uint64_t>(
-      flags.GetDouble("budget", flags.GetBool("quick") ? 300'000 : 3'000'000));
+  const uint64_t budget =
+      flags.GetPositiveCount("budget", flags.GetBool("quick") ? 300'000 : 3'000'000);
 
   static topo::Topology tiny8 = topo::Topology::FromSpec("tiny8:8;a=2;b=4");
   auto h1 = topo::Hierarchy::Select(tiny8, {"system"});

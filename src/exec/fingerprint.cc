@@ -171,14 +171,14 @@ void AppendRunSpec(Fingerprint& fp, const RunSpec& spec) {
 }
 
 Fingerprint CellFingerprint(const RunSpec& spec, const std::string& lock_name,
-                            int num_threads, double duration_ms, int runs) {
+                            int num_threads, double duration_ms) {
   Fingerprint fp;
   fp.Add("schema", static_cast<int64_t>(kCellSchemaVersion));
   AppendRunSpec(fp, spec);
   fp.Add("cell.lock", lock_name);
   fp.Add("cell.threads", num_threads);
   fp.Add("cell.duration_ms", duration_ms);
-  fp.Add("cell.runs", runs);
+  fp.Add("cell.runs", 1);
   return fp;
 }
 

@@ -3,11 +3,11 @@
 // A fingerprint is a human-readable `key=value\n` transcript of every input that can
 // influence a simulated benchmark cell's result — machine topology and cost model,
 // hierarchy, registry identity, lock name, workload profile, thread count, duration,
-// seed, run count, ClofParams, and a schema version — plus a 64-bit FNV-1a hash of
-// that transcript used as the cache address. The cache stores the full transcript next
-// to each entry and compares it verbatim on lookup, so a hash collision degrades to a
-// miss, never to a wrong result. Doubles are rendered as hex floats (%a), which
-// round-trips every bit: two configs fingerprint equal iff they are bit-identical.
+// seed, run count (always 1), ClofParams, and a schema version — plus a 64-bit FNV-1a
+// hash of that transcript used as the cache address. The cache stores the full
+// transcript next to each entry and compares it verbatim on lookup, so a hash collision
+// degrades to a miss, never to a wrong result. Doubles are rendered as hex floats (%a),
+// which round-trips every bit: two configs fingerprint equal iff they are bit-identical.
 //
 // Invalidation is structural: change any field (or bump kCellSchemaVersion when the
 // simulator's result semantics change) and the address changes, orphaning old entries
@@ -78,9 +78,10 @@ void AppendFaultPlan(Fingerprint& fp, const fault::FaultPlan& plan);
 void AppendRunSpec(Fingerprint& fp, const RunSpec& spec);  // all of the above + seed
 
 // The canonical fingerprint of one sweep cell: schema version + RunSpec + the
-// cell-specific coordinates. This is the result cache's key.
+// cell-specific coordinates. This is the result cache's key. A cell is one run; the
+// transcript keeps `cell.runs=1` so that existing cache and journal keys stay valid.
 Fingerprint CellFingerprint(const RunSpec& spec, const std::string& lock_name,
-                            int num_threads, double duration_ms, int runs);
+                            int num_threads, double duration_ms);
 
 }  // namespace clof::exec
 

@@ -15,6 +15,8 @@ thread_local Explorer* g_current_explorer = nullptr;
 // destructors (e.g. CLH context nodes) run.
 struct CancelExecution {};
 
+constexpr size_t kFiberStackBytes = 128 * 1024;
+
 uint64_t Bit(int tid) { return uint64_t{1} << tid; }
 
 // Open-addressed map from an address to its ordinal in the current execution: the
@@ -115,8 +117,7 @@ struct Explorer::ThreadState {
   int cpu = 0;
   bool finished = false;
   bool parked = false;
-  // Addresses a parked thread is watching (its next probe targets); parked_addrs[0]
-  // doubles as the woken thread's re-probe hint for the sleep-set dependence check.
+  // Addresses a parked thread is watching; a write that changes one of them wakes it.
   static constexpr int kMaxWatches = 4;
   std::array<uintptr_t, kMaxWatches> parked_addrs{};
   int parked_count = 0;
@@ -131,24 +132,6 @@ struct Explorer::ThreadState {
   // pointer — small enough for std::function's inline storage, keeping the
   // per-execution reset allocation-free.
   std::function<void()> body;
-
-  // Sleep-set independence check: can executing (addr, is_write) affect this thread's
-  // next visible action? Unknown next actions (fresh threads) count as dependent.
-  bool DependsOn(uintptr_t addr, bool is_write) const {
-    if (has_pending) {
-      bool pending_write = pending_kind != MckOpKind::kLoad;
-      return pending_addr == addr && (is_write || pending_write);
-    }
-    if (parked_count > 0) {  // parked, or woken and about to re-probe its watches
-      for (int i = 0; i < parked_count; ++i) {
-        if (parked_addrs[i] == addr && is_write) {
-          return true;
-        }
-      }
-      return false;
-    }
-    return true;  // fresh thread: unknown, assume dependent
-  }
 };
 
 struct Explorer::ExecutionContext {
@@ -164,7 +147,6 @@ struct Explorer::ExecutionContext {
 
   // Per-execution schedule record (node i = state before step i).
   std::vector<uint64_t> enabled_history;
-  std::vector<uint64_t> sleep_history;
   std::vector<int> chosen_history;
 
   // Persistent DFS state, aligned with the common path prefix across executions:
@@ -213,19 +195,7 @@ struct Explorer::ExecutionContext {
   }
   int* Rows(int ordinal) { return rows.data() + static_cast<size_t>(ordinal) * 3 * threads.size(); }
 
-  // The decision loop's state between two decisions (see Explorer::Next()).
-  int step = 0;
-  uint64_t sleep = 0;
-  // The last step's operation, whose sleep-set evolution the next decision owes once
-  // its thread has announced, parked or finished.
-  struct StepOp {
-    int tid = -1;  // -1: nothing owed
-    bool known = false;  // false: the thread was fresh or just woken and applied nothing
-    bool write = false;
-    uintptr_t addr = 0;
-  };
-  StepOp last_step;
-  bool ended = false;  // every thread finished, or the search pruned this execution
+  int step = 0;  // decisions taken in this execution (see Explorer::Next())
   bool cancelling = false;
   bool violation = false;
   std::string violation_message;
@@ -265,8 +235,8 @@ void Explorer::OnAccess(uintptr_t addr, MckOpKind kind, runtime::FunctionRef<boo
   // addresses only one thread has touched *so far* is unsound — under a different
   // schedule another thread's access could have come first (a lost-update litmus
   // regression test guards this). Every access to a potentially shared location is a
-  // scheduling point; the sound reductions are the sleep sets and the eager local
-  // quanta in Next().
+  // scheduling point; the sound reductions are DPOR and the eager local quanta in
+  // Next().
   //
   // Announce and yield; the scheduler resumes us when it is our turn, and we apply the
   // operation at that point (the linearization point).
@@ -274,7 +244,6 @@ void Explorer::OnAccess(uintptr_t addr, MckOpKind kind, runtime::FunctionRef<boo
   self->pending_addr = addr;
   self->pending_kind = kind;
   self->pending_apply = apply;
-  self->parked_count = 0;
   Suspend(self);
   self->has_pending = false;
   bool changed = apply();
@@ -291,7 +260,7 @@ void Explorer::OnAccess(uintptr_t addr, MckOpKind kind, runtime::FunctionRef<boo
       }
       for (int i = 0; i < thread->parked_count; ++i) {
         if (thread->parked_addrs[i] == addr) {
-          thread->parked = false;  // keep the watch list: it is the next probe hint
+          thread->parked = false;
           break;
         }
       }
@@ -315,7 +284,6 @@ void Explorer::SchedulePoint() {
   self->pending_addr = static_cast<uintptr_t>(self->tid) + 1;  // below any real address
   self->pending_kind = MckOpKind::kLoad;
   self->pending_apply = runtime::FunctionRef<bool()>(kNoopApply);
-  self->parked_count = 0;
   Suspend(self);
   self->has_pending = false;
 }
@@ -323,10 +291,6 @@ void Explorer::SchedulePoint() {
 uint64_t Explorer::VersionOf(uintptr_t addr) {
   const int ordinal = exec_->addrs.Find(addr);
   return ordinal < 0 ? 0 : exec_->records[ordinal].version;
-}
-
-void Explorer::ParkOnAddr(uintptr_t addr, uint64_t seen_version) {
-  ParkOnAddrs({AddrVersion{addr, seen_version}});
 }
 
 void Explorer::ParkOnAddrs(std::initializer_list<AddrVersion> watches) {
@@ -373,32 +337,14 @@ void Explorer::Suspend(ThreadState* self) {
 
 Explorer::ThreadState* Explorer::Next() {
   ExecutionContext& ec = *exec_;
-  if (ec.ended || ec.violation) {
+  if (ec.violation) {
     return nullptr;
-  }
-  // Sleep-set evolution: the step that just ended wakes every slept thread dependent on
-  // its op. It runs before the next quantum, which would change the threads' states.
-  if (ec.last_step.tid >= 0) {
-    const ExecutionContext::StepOp& op = ec.last_step;
-    uint64_t next_sleep = 0;
-    if (ec.sleep != 0) {
-      for (auto& other : ec.threads) {
-        if ((ec.sleep & Bit(other->tid)) == 0 || other->tid == op.tid || other->finished) {
-          continue;
-        }
-        if (op.known && !other->DependsOn(op.addr, op.write)) {
-          next_sleep |= Bit(other->tid);
-        }
-      }
-    }
-    ec.sleep = next_sleep;
-    ec.last_step.tid = -1;
   }
   // Eagerly run every thread that has no announced operation (fresh threads and threads
   // just woken from a park), lowest index first: such a quantum performs no visible
   // operation — it only runs local code up to its next announcement — so it commutes
   // with every other thread and must not be a scheduling choice. Without this, each
-  // spin wakeup would branch the search and defeat the sleep sets. A quantum cannot
+  // spin wakeup would be a choice of its own and branch the search. A quantum cannot
   // make another thread eligible, so deciding again after each one runs the quanta in
   // index order.
   for (auto& thread : ec.threads) {
@@ -417,21 +363,12 @@ Explorer::ThreadState* Explorer::Next() {
     }
   }
   if (all_finished) {
-    ec.ended = true;
     return nullptr;
   }
   if (enabled == 0) {
     ec.violation = true;
     ec.violation_message = "deadlock: all live threads are blocked";
     return nullptr;
-  }
-  const uint64_t sleep = ec.sleep;
-  if (ec.step >= static_cast<int>(ec.explored.size())) {
-    ec.explored.push_back(0);
-    // DPOR: seed a fresh node with a single candidate; conflicts discovered by later
-    // steps (possibly in later executions) grow this set in place.
-    uint64_t seed = enabled & ~sleep;
-    ec.backtrack.push_back(seed == 0 ? 0 : Bit(__builtin_ctzll(seed)));
   }
   int chosen;
   if (ec.step < static_cast<int>(ec.prefix.size())) {
@@ -441,78 +378,69 @@ Explorer::ThreadState* Explorer::Next() {
       std::abort();
     }
   } else {
-    uint64_t avail = ec.backtrack[ec.step] & enabled & ~sleep & ~ec.explored[ec.step];
-    if (avail == 0) {
-      ec.ended = true;  // every successor here is covered by an explored/slept branch
-      return nullptr;
-    }
-    chosen = __builtin_ctzll(avail);
+    // Past the replay prefix every node is fresh. DPOR seeds it with a single candidate,
+    // the lowest enabled thread; conflicts discovered by later steps (possibly in later
+    // executions) grow this set in place.
+    chosen = __builtin_ctzll(enabled);
+    ec.explored.push_back(0);
+    ec.backtrack.push_back(Bit(chosen));
   }
   ec.enabled_history.push_back(enabled);
-  ec.sleep_history.push_back(sleep);
   ec.chosen_history.push_back(chosen);
-  ++ec.step;
+  const int this_step = ec.step++;
   if (ec.step > options_.max_steps) {
     ec.violation = true;
     ec.violation_message = "step bound exceeded (possible livelock)";
     return nullptr;
   }
+  // After the eager quanta every enabled thread has announced the op this step applies.
   ThreadState* thread = ec.threads[chosen].get();
-  // Capture the op this step will apply (announced before suspension); a fresh or
-  // just-woken thread applies nothing and only announces, which is independent of
-  // everything.
-  const bool op_known = thread->has_pending;
-  const uintptr_t op_addr = thread->pending_addr;
-  const bool op_write = op_known && thread->pending_kind != MckOpKind::kLoad;
-  const int this_step = ec.step - 1;
-  if (op_known) {
-    // DPOR backtrack-point discovery (Flanagan-Godefroid): this op may need to run
-    // *before* the most recent conflicting access of another thread, unless that
-    // access already happens-before us (then the two cannot be reordered and no
-    // alternative exists). Record the alternative at the node preceding the access.
-    const size_t n = ec.threads.size();
-    const int ordinal = ec.Record(op_addr);
-    ExecutionContext::AddrRecord& access = ec.records[ordinal];
-    int* last_read_step = ec.Rows(ordinal);
-    int* write_clock = last_read_step + n;
-    int* readers_clock = write_clock + n;
-    int* my_clock = ec.thread_clock.data() + static_cast<size_t>(chosen) * n;
-    auto consider = [&](int step, int tid) {
-      if (step < 0 || tid == chosen || step <= my_clock[tid]) {
-        return;  // absent, own, or already ordered before us
-      }
-      uint64_t enabled_there = ec.enabled_history[step];
-      ec.backtrack[step] |= (enabled_there & Bit(chosen)) != 0 ? Bit(chosen) : enabled_there;
-    };
-    consider(access.last_write_step, access.last_write_tid);
-    if (op_write) {
-      for (size_t u = 0; u < n; ++u) {
-        consider(last_read_step[u], static_cast<int>(u));
-      }
+  const bool op_write = thread->pending_kind != MckOpKind::kLoad;
+  // DPOR backtrack-point discovery (Flanagan-Godefroid): this op may need to run
+  // *before* the most recent conflicting access of another thread, unless that access
+  // already happens-before us (then the two cannot be reordered and no alternative
+  // exists). Record the alternative at the node preceding the access.
+  const size_t n = ec.threads.size();
+  const int ordinal = ec.Record(thread->pending_addr);
+  ExecutionContext::AddrRecord& access = ec.records[ordinal];
+  int* last_read_step = ec.Rows(ordinal);
+  int* write_clock = last_read_step + n;
+  int* readers_clock = write_clock + n;
+  int* my_clock = ec.thread_clock.data() + static_cast<size_t>(chosen) * n;
+  auto consider = [&](int step, int tid) {
+    if (step < 0 || tid == chosen || step <= my_clock[tid]) {
+      return;  // absent, own, or already ordered before us
     }
-    // Happens-before update: join the clocks this dependent access synchronizes with,
-    // stamp our own progress, release our clock to the address.
+    uint64_t enabled_there = ec.enabled_history[step];
+    ec.backtrack[step] |= (enabled_there & Bit(chosen)) != 0 ? Bit(chosen) : enabled_there;
+  };
+  consider(access.last_write_step, access.last_write_tid);
+  if (op_write) {
     for (size_t u = 0; u < n; ++u) {
-      my_clock[u] = std::max(my_clock[u], write_clock[u]);
-      if (op_write) {
-        my_clock[u] = std::max(my_clock[u], readers_clock[u]);
-      }
-    }
-    my_clock[chosen] = this_step;
-    if (op_write) {
-      std::copy_n(my_clock, n, write_clock);
-      std::fill_n(readers_clock, n, -1);  // absorbed into the write clock
-      access.last_write_step = this_step;
-      access.last_write_tid = chosen;
-      std::fill_n(last_read_step, n, -1);
-    } else {
-      for (size_t u = 0; u < n; ++u) {
-        readers_clock[u] = std::max(readers_clock[u], my_clock[u]);
-      }
-      last_read_step[chosen] = this_step;
+      consider(last_read_step[u], static_cast<int>(u));
     }
   }
-  ec.last_step = {chosen, op_known, op_write, op_addr};
+  // Happens-before update: join the clocks this dependent access synchronizes with,
+  // stamp our own progress, release our clock to the address.
+  for (size_t u = 0; u < n; ++u) {
+    my_clock[u] = std::max(my_clock[u], write_clock[u]);
+    if (op_write) {
+      my_clock[u] = std::max(my_clock[u], readers_clock[u]);
+    }
+  }
+  my_clock[chosen] = this_step;
+  if (op_write) {
+    std::copy_n(my_clock, n, write_clock);
+    std::fill_n(readers_clock, n, -1);  // absorbed into the write clock
+    access.last_write_step = this_step;
+    access.last_write_tid = chosen;
+    std::fill_n(last_read_step, n, -1);
+  } else {
+    for (size_t u = 0; u < n; ++u) {
+      readers_clock[u] = std::max(readers_clock[u], my_clock[u]);
+    }
+    last_read_step[chosen] = this_step;
+  }
   return thread;
 }
 
@@ -523,22 +451,17 @@ Explorer::Result Explorer::Explore(const std::function<std::vector<ThreadSpec>()
   Explorer* previous = g_current_explorer;
   g_current_explorer = this;
 
-  // Depth-first search over schedules with full replay and sleep sets: after a choice's
-  // subtree is explored, reordering it with an *independent* (different address, or
-  // both-read) op of another thread cannot produce a new behaviour, so the slept thread
-  // stays excluded until a dependent op wakes it. This prunes the exploration to
-  // (roughly) one execution per Mazurkiewicz trace while preserving all safety
-  // violations and deadlocks.
+  // Depth-first search over schedules with full replay, pruned by DPOR: a node explores
+  // a second thread only where a later step found it conflicting with an access that
+  // does not happen-before it, since reordering independent (different address, or
+  // both-read) ops cannot produce a new behaviour. This reaches at least one execution
+  // per Mazurkiewicz trace, so it preserves all safety violations and deadlocks.
   for (;;) {
     ++result.executions;
     ec.addrs.Clear();
     ec.enabled_history.clear();
-    ec.sleep_history.clear();
     ec.chosen_history.clear();
     ec.step = 0;
-    ec.sleep = 0;
-    ec.last_step = {};
-    ec.ended = false;
     ec.cancelling = false;
     ec.violation = false;
     ec.violation_message.clear();
@@ -562,13 +485,12 @@ Explorer::Result Explorer::Explore(const std::function<std::vector<ThreadSpec>()
       raw->cpu = specs[i].cpu;
       raw->finished = false;
       raw->parked = false;
-      raw->parked_count = 0;
       raw->has_pending = false;
       raw->arrival_probe = nullptr;
       raw->body = std::move(specs[i].body);
       if (i >= ec.fiber_pool.size()) {
-        ec.fiber_pool.push_back(std::make_unique<runtime::Fiber>([] {}, &ec.main_fiber,
-                                                                 options_.fiber_stack_bytes));
+        ec.fiber_pool.push_back(
+            std::make_unique<runtime::Fiber>([] {}, &ec.main_fiber, kFiberStackBytes));
         runtime::Fiber::Switch(ec.main_fiber, *ec.fiber_pool.back());  // drain the stub
       }
       raw->fiber = ec.fiber_pool[i].get();
@@ -627,8 +549,7 @@ Explorer::Result Explorer::Explore(const std::function<std::vector<ThreadSpec>()
     int backtrack = -1;
     for (int i = static_cast<int>(ec.chosen_history.size()) - 1; i >= 0; --i) {
       ec.explored[i] |= Bit(ec.chosen_history[i]);
-      uint64_t avail = ec.backtrack[i] & ec.enabled_history[i] & ~ec.sleep_history[i] &
-                       ~ec.explored[i];
+      uint64_t avail = ec.backtrack[i] & ec.enabled_history[i] & ~ec.explored[i];
       if (avail != 0) {
         backtrack = i;
         ec.prefix.assign(ec.chosen_history.begin(), ec.chosen_history.begin() + i);

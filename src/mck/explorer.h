@@ -30,8 +30,8 @@
 
 namespace clof::mck {
 
-// Thrown by harness code to report a property violation; also used internally to
-// cancel and unwind abandoned executions.
+// Thrown by Fail() to report a property violation; it unwinds the failing thread. (An
+// abandoned execution's other threads are unwound by a separate internal exception.)
 class ViolationError : public std::exception {
  public:
   explicit ViolationError(std::string what) : what_(std::move(what)) {}
@@ -48,7 +48,6 @@ class Explorer {
   struct Options {
     uint64_t max_executions = 2'000'000;  // exploration budget (0 = unlimited)
     int max_steps = 20'000;               // per-execution step bound (livelock guard)
-    size_t fiber_stack_bytes = 128 * 1024;
   };
 
   struct ThreadSpec {
@@ -99,13 +98,12 @@ class Explorer {
   // bound bypass — rather than some earlier local instant.
   void ArmArrivalProbe(std::function<void()> probe);
 
-  // Version-checked blocking for spin loops (mirrors sim::Engine::ParkOnLine).
+  // Version-checked blocking for spin loops (mirrors sim::Engine::ParkOnLine): blocks
+  // until a value-changing write moves *any* of the addresses past its seen version
+  // (sample the versions *before* the corresponding loads so no wakeup is lost). One
+  // address serves a plain spin-wait; several serve conditions over several locations,
+  // e.g. Peterson's flag+turn wait.
   uint64_t VersionOf(uintptr_t addr);
-  void ParkOnAddr(uintptr_t addr, uint64_t seen_version);
-
-  // Blocks until a value-changing write moves *any* of the addresses past its seen
-  // version (sample the versions *before* the corresponding loads so no wakeup is
-  // lost). For conditions over several locations, e.g. Peterson's flag+turn wait.
   struct AddrVersion {
     uintptr_t addr;
     uint64_t seen_version;
@@ -119,9 +117,9 @@ class Explorer {
   struct ThreadState;
   struct ExecutionContext;
 
-  // The scheduler's step: evolves the sleep set after the step that just ended, then
-  // returns the next thread to resume — one that owes an eager local quantum, else the
-  // choice at this node after its DPOR bookkeeping — or null when the execution ends.
+  // The scheduler's step: returns the next thread to resume — one that owes an eager
+  // local quantum, else the choice at this node after its DPOR bookkeeping — or null
+  // when the execution ends.
   // Any stack may run it: the main fiber, or the thread that has just announced an
   // operation or parked.
   ThreadState* Next();

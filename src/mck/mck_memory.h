@@ -145,7 +145,7 @@ struct MckMemory {
       if (pred(value)) {
         return value;
       }
-      explorer.ParkOnAddr(atomic.Addr(), version);
+      explorer.ParkOnAddrs({{atomic.Addr(), version}});
     }
   }
 };

@@ -14,17 +14,17 @@
 namespace clof::select {
 namespace {
 
-// Runs (or serves from journal/cache) one sweep cell: `lock` at `threads`, median of
-// `runs`. Never throws for a cell-level failure — a deadlocked, livelocked, or
-// otherwise crashed simulation comes back as a structured CellFailure so the sweep
-// completes and quarantines instead of dying (the resilience contract in the header).
+// Runs (or serves from journal/cache) one sweep cell: `lock` at `threads`, one run.
+// Never throws for a cell-level failure — a deadlocked, livelocked, or otherwise
+// crashed simulation comes back as a structured CellFailure so the sweep completes and
+// quarantines instead of dying (the resilience contract in the header).
 // The failure carries kind, message and diagnostic, as the journal keeps it; the
 // sweep names the cell when it reports it.
 exec::CellOutcome EvaluateCell(const SweepConfig& config, const RunSpec& spec,
                                const std::string& lock, int threads, int local_level) {
   exec::Fingerprint fp;
   if (config.cache != nullptr || config.journal != nullptr) {
-    fp = exec::CellFingerprint(spec, lock, threads, config.duration_ms, config.runs);
+    fp = exec::CellFingerprint(spec, lock, threads, config.duration_ms);
   }
   // Journal first: it also replays failures, so a resumed sweep reproduces its
   // quarantine report without re-running a cell that, say, deadlocked for minutes.
@@ -51,7 +51,7 @@ exec::CellOutcome EvaluateCell(const SweepConfig& config, const RunSpec& spec,
     bench.num_threads = threads;
     bench.duration_ms = config.duration_ms;
     bench.watchdog = config.watchdog;
-    auto run = harness::RunLockBenchMedian(bench, config.runs);
+    auto run = harness::RunLockBench(bench);
     exec::CellResult cell;
     cell.throughput_per_us = run.throughput_per_us;
     cell.local_handover_rate = run.HandoverLocalityAt(local_level);

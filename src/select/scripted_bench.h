@@ -2,13 +2,12 @@
 // contention sweep and feeds the selection policies. This is the automated part of the
 // CLoF workflow in Figure 5.
 //
-// The sweep is the expensive part of the workflow (all N^M locks x every thread count x
-// `runs` repetitions), so it executes on the clof::exec layer: cells are sharded across
-// host worker threads (`jobs`) and can be served from a content-addressed result cache
-// (`cache`). Both are pure accelerators — because every cell is a self-contained
-// deterministic simulation, the SweepResult is byte-identical for any worker count and
-// for cached vs computed cells (tests/parallel_sweep_test.cc asserts this). See
-// docs/PARALLEL_SWEEP.md.
+// The sweep is the expensive part of the workflow (all N^M locks x every thread count),
+// so it executes on the clof::exec layer: cells are sharded across host worker threads
+// (`jobs`) and can be served from a content-addressed result cache (`cache`). Both are
+// pure accelerators — because every cell is a self-contained deterministic simulation,
+// the SweepResult is byte-identical for any worker count and for cached vs computed
+// cells (tests/parallel_sweep_test.cc asserts this). See docs/PARALLEL_SWEEP.md.
 //
 // The sweep is also resilient: a cell whose simulation deadlocks, livelocks, or throws
 // becomes a structured CellFailure — the lock is quarantined out of selection, the
@@ -60,7 +59,6 @@ struct SweepConfig {
   std::vector<std::string> lock_names;
   std::vector<int> thread_counts;         // empty = PaperThreadCounts(machine)
   double duration_ms = 0.5;               // §5.2 uses quick 1-run evaluations
-  int runs = 1;
   // Host worker threads for the cell executor: 0 = one per host CPU, 1 = serial
   // (inline, no threads spawned). Any value produces byte-identical results.
   int jobs = 0;

@@ -106,6 +106,10 @@ TEST(CliErrorTest, MalformedCommandLinesExitTwoNamingTheFlag) {
       // A duration is positive: 0 used to abort inside the harness, not exit 2.
       {FIG9_SWEEP, {"--only=d", "--duration_ms=0"}, "--duration_ms"},
       {FIG9_SWEEP, {"--only=d", "--duration_ms=-1"}, "--duration_ms"},
+      // An exploration budget is a whole positive count; 0 would mean unlimited.
+      {MCK_SCALING, {"--quick", "--budget=-1"}, "--budget"},
+      {MCK_SCALING, {"--quick", "--budget=0"}, "--budget"},
+      {MCK_SCALING, {"--quick", "--budget=0.5"}, "--budget"},
   };
   for (const Case& c : cases) {
     std::string command = c.binary;

@@ -150,8 +150,8 @@ TEST(FingerprintTest, DoubleRoundTripsExactly) {
 TEST(FingerprintTest, CellFingerprintIsDeterministic) {
   auto machine = sim::Machine::PaperArm();
   RunSpec spec = ArmSpec(machine);
-  Fingerprint a = CellFingerprint(spec, "mcs-mcs", 8, 0.5, 1);
-  Fingerprint b = CellFingerprint(spec, "mcs-mcs", 8, 0.5, 1);
+  Fingerprint a = CellFingerprint(spec, "mcs-mcs", 8, 0.5);
+  Fingerprint b = CellFingerprint(spec, "mcs-mcs", 8, 0.5);
   EXPECT_EQ(a.text(), b.text());
   EXPECT_EQ(a.Hash(), b.Hash());
 }
@@ -159,45 +159,44 @@ TEST(FingerprintTest, CellFingerprintIsDeterministic) {
 TEST(FingerprintTest, EverySingleFieldChangeChangesTheHash) {
   auto machine = sim::Machine::PaperArm();
   RunSpec base_spec = ArmSpec(machine);
-  Fingerprint base = CellFingerprint(base_spec, "mcs-mcs", 8, 0.5, 1);
+  Fingerprint base = CellFingerprint(base_spec, "mcs-mcs", 8, 0.5);
 
   std::vector<Fingerprint> variants;
-  variants.push_back(CellFingerprint(base_spec, "clh-clh", 8, 0.5, 1));  // lock
-  variants.push_back(CellFingerprint(base_spec, "mcs-mcs", 16, 0.5, 1));  // threads
-  variants.push_back(CellFingerprint(base_spec, "mcs-mcs", 8, 1.0, 1));  // duration
-  variants.push_back(CellFingerprint(base_spec, "mcs-mcs", 8, 0.5, 3));  // runs
+  variants.push_back(CellFingerprint(base_spec, "clh-clh", 8, 0.5));  // lock
+  variants.push_back(CellFingerprint(base_spec, "mcs-mcs", 16, 0.5));  // threads
+  variants.push_back(CellFingerprint(base_spec, "mcs-mcs", 8, 1.0));  // duration
 
   {
     RunSpec s = base_spec;  // seed
     s.seed = 43;
-    variants.push_back(CellFingerprint(s, "mcs-mcs", 8, 0.5, 1));
+    variants.push_back(CellFingerprint(s, "mcs-mcs", 8, 0.5));
   }
   {
     RunSpec s = base_spec;  // ClofParams
     s.params.keep_local_threshold = 64;
-    variants.push_back(CellFingerprint(s, "mcs-mcs", 8, 0.5, 1));
+    variants.push_back(CellFingerprint(s, "mcs-mcs", 8, 0.5));
   }
   {
     RunSpec s = base_spec;  // workload profile
     s.profile.cs_work_ns = 200.0;
-    variants.push_back(CellFingerprint(s, "mcs-mcs", 8, 0.5, 1));
+    variants.push_back(CellFingerprint(s, "mcs-mcs", 8, 0.5));
   }
   {
     RunSpec s = base_spec;  // registry identity
     s.registry = &SimRegistry(true);
-    variants.push_back(CellFingerprint(s, "mcs-mcs", 8, 0.5, 1));
+    variants.push_back(CellFingerprint(s, "mcs-mcs", 8, 0.5));
   }
   {
     RunSpec s = base_spec;  // hierarchy: pick a different level selection
     s.hierarchy = topo::Hierarchy::Select(machine.topology, {"cache", "system"});
-    variants.push_back(CellFingerprint(s, "mcs-mcs", 8, 0.5, 1));
+    variants.push_back(CellFingerprint(s, "mcs-mcs", 8, 0.5));
   }
 
   // Platform cost-model change.
   sim::Machine tweaked = sim::Machine::PaperArm();
   tweaked.platform.cold_miss_ns += 1.0;
   RunSpec tweaked_spec = ArmSpec(tweaked);
-  variants.push_back(CellFingerprint(tweaked_spec, "mcs-mcs", 8, 0.5, 1));
+  variants.push_back(CellFingerprint(tweaked_spec, "mcs-mcs", 8, 0.5));
 
   // Topology change.
   sim::Machine x86 = sim::Machine::PaperX86();
@@ -205,7 +204,7 @@ TEST(FingerprintTest, EverySingleFieldChangeChangesTheHash) {
   x86_spec.machine = &x86;
   x86_spec.hierarchy = topo::Hierarchy::Select(x86.topology, {"numa", "system"});
   x86_spec.registry = &SimRegistry(false);
-  variants.push_back(CellFingerprint(x86_spec, "mcs-mcs", 8, 0.5, 1));
+  variants.push_back(CellFingerprint(x86_spec, "mcs-mcs", 8, 0.5));
 
   std::vector<uint64_t> hashes{base.Hash()};
   for (const Fingerprint& v : variants) {
@@ -222,13 +221,13 @@ TEST(FingerprintTest, EveryFaultPlanFieldChangeChangesTheHash) {
   // alias an unfaulted one, and every severity knob must produce a distinct key.
   auto machine = sim::Machine::PaperArm();
   RunSpec base_spec = ArmSpec(machine);
-  Fingerprint base = CellFingerprint(base_spec, "mcs-mcs", 8, 0.5, 1);
+  Fingerprint base = CellFingerprint(base_spec, "mcs-mcs", 8, 0.5);
 
   std::vector<Fingerprint> variants;
   auto variant = [&](auto&& mutate) {
     RunSpec s = base_spec;
     mutate(s.fault);
-    variants.push_back(CellFingerprint(s, "mcs-mcs", 8, 0.5, 1));
+    variants.push_back(CellFingerprint(s, "mcs-mcs", 8, 0.5));
   };
   variant([](fault::FaultPlan& f) { f.seed = 2; });
   variant([](fault::FaultPlan& f) { f.preempt.enabled = true; });
@@ -260,7 +259,7 @@ TEST(FingerprintTest, SiteListJoinsTheFingerprint) {
   RunSpec base_spec = ArmSpec(machine);
   // The classic empty-sites spec fingerprints exactly as before the site field
   // existed — no "sites=" line — so historical cache entries stay valid.
-  Fingerprint base = CellFingerprint(base_spec, "mcs-mcs", 8, 0.5, 1);
+  Fingerprint base = CellFingerprint(base_spec, "mcs-mcs", 8, 0.5);
   EXPECT_EQ(base.text().find("sites="), std::string::npos);
 
   workload::LockSite site;
@@ -270,7 +269,7 @@ TEST(FingerprintTest, SiteListJoinsTheFingerprint) {
   site.profile = base_spec.profile;
   RunSpec tagged_spec = base_spec;
   tagged_spec.sites = {site};
-  Fingerprint tagged = CellFingerprint(tagged_spec, "mcs-mcs", 8, 0.5, 1);
+  Fingerprint tagged = CellFingerprint(tagged_spec, "mcs-mcs", 8, 0.5);
   EXPECT_NE(tagged.text().find("sites=1"), std::string::npos);
 
   // Site name, share, and instance count each produce a distinct cell key — two
@@ -279,17 +278,17 @@ TEST(FingerprintTest, SiteListJoinsTheFingerprint) {
   {
     RunSpec s = tagged_spec;
     s.sites[0].name = "stats";
-    variants.push_back(CellFingerprint(s, "mcs-mcs", 8, 0.5, 1));
+    variants.push_back(CellFingerprint(s, "mcs-mcs", 8, 0.5));
   }
   {
     RunSpec s = tagged_spec;
     s.sites[0].share = 0.25;
-    variants.push_back(CellFingerprint(s, "mcs-mcs", 8, 0.5, 1));
+    variants.push_back(CellFingerprint(s, "mcs-mcs", 8, 0.5));
   }
   {
     RunSpec s = tagged_spec;
     s.sites[0].instances = 1;
-    variants.push_back(CellFingerprint(s, "mcs-mcs", 8, 0.5, 1));
+    variants.push_back(CellFingerprint(s, "mcs-mcs", 8, 0.5));
   }
   std::vector<uint64_t> hashes;
   for (const Fingerprint& v : variants) {
@@ -299,10 +298,21 @@ TEST(FingerprintTest, SiteListJoinsTheFingerprint) {
   EXPECT_EQ(std::adjacent_find(hashes.begin(), hashes.end()), hashes.end());
 }
 
+TEST(FingerprintTest, CellCoordinatesCloseTheTranscript) {
+  // A cell is one run, and its transcript still ends in `cell.runs=1`, so the keys in
+  // existing caches and journals keep matching.
+  auto machine = sim::Machine::PaperArm();
+  const std::string text = CellFingerprint(ArmSpec(machine), "mcs-mcs", 8, 0.5).text();
+  const std::string tail =
+      "cell.lock=mcs-mcs\ncell.threads=8\ncell.duration_ms=0x1p-1\ncell.runs=1\n";
+  ASSERT_GE(text.size(), tail.size());
+  EXPECT_EQ(text.substr(text.size() - tail.size()), tail);
+}
+
 TEST(FingerprintTest, SchemaVersionIsPartOfTheKey) {
   auto machine = sim::Machine::PaperArm();
   RunSpec spec = ArmSpec(machine);
-  Fingerprint fp = CellFingerprint(spec, "mcs-mcs", 8, 0.5, 1);
+  Fingerprint fp = CellFingerprint(spec, "mcs-mcs", 8, 0.5);
   EXPECT_NE(fp.text().find("schema=" + std::to_string(kCellSchemaVersion)),
             std::string::npos);
 }

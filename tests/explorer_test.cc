@@ -1,6 +1,6 @@
 // Explorer-level litmus tests: these guard the model checker itself. Each classic
 // concurrency idiom must expose exactly the behaviours sequential consistency allows —
-// a reduction (sleep sets, DPOR, eager local quanta) that hides one of them would make
+// a reduction (DPOR, eager local quanta) that hides one of them would make
 // every downstream "lock verified" claim worthless.
 #include "src/mck/explorer.h"
 
@@ -240,7 +240,7 @@ TEST(ExplorerTest, DeterministicExecutionCount) {
 }
 
 TEST(ExplorerTest, IndependentThreadsExploreOneExecution) {
-  // Threads touching disjoint addresses commute: DPOR + sleep sets should not branch.
+  // Threads touching disjoint addresses commute: DPOR finds no conflict to branch on.
   Explorer explorer;
   auto result = explorer.Explore([&] {
     auto a = std::make_shared<AtomicU32>(0u);
@@ -260,9 +260,8 @@ TEST(ExplorerTest, IndependentThreadsExploreOneExecution) {
 // move: each exploration below folds its whole Result into one FNV-1a constant. Between
 // them they end executions every way the explorer can: completed (four locks), parked
 // on two addresses, suspended at a SchedulePoint, cut by a mutant's violation, by a
-// deadlock, by the step bound, and by the execution budget. The sleep-set prune is
-// missing because no exploration can reach it: every execution starts with an empty
-// sleep set and sleep-set evolution only removes threads, so the sets stay empty; the
+// deadlock, by the step bound, and by the execution budget. No other end exists: an
+// execution runs until every thread finishes or a violation stops it, and the
 // fixed-step program pins that.
 
 uint64_t Fingerprint(const Explorer::Result& result) {
@@ -297,8 +296,8 @@ Explorer::Result CheckFresh(int threads, int acquisitions, std::vector<int> cpus
   return CheckLock<L>(config, [] { return std::make_shared<L>(); }).result;
 }
 
-// Three threads with two accesses each and no waits, so every completed execution
-// takes six steps; fewer in total would mean some execution was pruned.
+// Three threads with two accesses each and no waits, so every execution takes six
+// steps; fewer in total would mean some execution ended early.
 constexpr uint64_t kFixedProgramSteps = 6;
 Explorer::Result ExploreFixedStepProgram() {
   Explorer explorer;
